@@ -13,8 +13,9 @@ case-insensitive family name and positional parameters:
     gamma(shape)
 
 Exit status: 0 on success, 2 for usage errors (argparse, malformed
-distribution text, bad ranges), 1 for domain errors (divergent measure,
-invalid order, degenerate sample), in which case a one-line JSON object
+distribution text, bad ranges, counts below 1), 1 for domain errors
+(divergent measure, invalid order, degenerate sample, malformed table
+file), in which case a one-line JSON object
 {"error": code, "message": ...} goes to stderr.  Results print as JSON by
 default; tabular commands also offer csv, scalar ones a readable table.
 The environment variable GWENTROPY_SEED supplies the default simulation
@@ -116,6 +117,13 @@ def _variant_arg(text: str) -> EstimatorVariant:
         ) from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse turns a ValueError into a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get("GWENTROPY_SEED", "")
     try:
@@ -151,12 +159,8 @@ def _read_values(path: str, column: str | None) -> list[float]:
         raise GwentropyError(f"non-numeric value in {path}") from exc
 
 
-def _emit(doc, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        raise AssertionError(fmt)
-    _write_out(text, out)
+def _emit(doc, out: str | None = None) -> None:
+    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -190,7 +194,7 @@ def _cmd_entropy(args) -> int:
     if args.format == "table":
         _write_out(f"{args.measure}({args.dist.spec_text}) = {value.value:.10g}\n", None)
     else:
-        _emit(doc, "json", None)
+        _emit(doc)
     return 0
 
 
@@ -211,7 +215,7 @@ def _cmd_dynamic(args) -> int:
             f"{args.measure}({args.dist.spec_text}; t={args.t:g}) = {value.value:.10g}\n", None
         )
     else:
-        _emit(doc, "json", None)
+        _emit(doc)
     return 0
 
 
@@ -234,7 +238,7 @@ def _cmd_empirical(args) -> int:
     if args.format == "table":
         _write_out(f"empirical {args.measure} (n={s.n}) = {value:.10g}\n", None)
     else:
-        _emit(doc, "json", None)
+        _emit(doc)
     return 0
 
 
@@ -279,7 +283,7 @@ def _cmd_gof_test(args) -> int:
             None,
         )
     else:
-        _emit(doc, "json", None)
+        _emit(doc)
     return 0
 
 
@@ -329,7 +333,7 @@ def _cmd_power(args) -> int:
                 for r in results
             ],
         }
-        _emit(doc, "json", args.out)
+        _emit(doc, args.out)
     return 0
 
 
@@ -344,7 +348,7 @@ def _cmd_verify(args) -> int:
             ],
             "ok": all(c.ok for c in cells),
         }
-        _emit(doc, "json", None)
+        _emit(doc)
     else:
         width = max(len(c.name) for c in cells)
         for c in cells:
@@ -362,7 +366,7 @@ def _add_order_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--replications", "-B", type=int, default=10000, help="Monte-Carlo replications")
+    p.add_argument("--replications", "-B", type=_positive_int, default=10000, help="Monte-Carlo replications")
     p.add_argument("--seed", type=int, default=_default_seed(), help="simulation seed (default: GWENTROPY_SEED or 0)")
     p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
 
@@ -435,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("verify", help="closed form vs quadrature self-check")
-    p.add_argument("--draws", type=int, default=20, help="random draws per cell")
+    p.add_argument("--draws", type=_positive_int, default=20, help="random draws per cell")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance per draw")
     p.add_argument("--format", choices=["table", "json"], default="table")

@@ -63,7 +63,8 @@ class Distribution:
 
     support: tuple[float, float] = (0.0, math.inf)
 
-    # subclasses implement pdf, cdf, sf, quantile, isf
+    # subclasses implement pdf, cdf, sf and the unchecked inverse _quantile
+    # (plus _isf where 1 - u would lose precision)
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
@@ -77,11 +78,18 @@ class Distribution:
 
     def quantile(self, u: float | np.ndarray) -> float | np.ndarray:
         """Inverse cdf; u must lie strictly inside (0, 1)."""
-        raise NotImplementedError
+        return self._quantile(_checked_unit(u))
 
     def isf(self, v: float | np.ndarray) -> float | np.ndarray:
         """Inverse survival function; v strictly inside (0, 1)."""
-        return self.quantile(1.0 - np.asarray(v))
+        return self._isf(_checked_unit(v))
+
+    def _quantile(self, u):
+        """Inverse cdf without the argument check; u = 0 maps to the support bottom."""
+        raise NotImplementedError
+
+    def _isf(self, v):
+        return self._quantile(np.asarray(1.0 - v))  # array: see ProportionalHazards
 
     # ---------- derived quantities ----------
 
@@ -145,8 +153,11 @@ class Distribution:
         """Raise when the integral of w(x) * sf(x)**g diverges at infinity."""
 
     def sample_values(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n values by quantile inversion on a single uniform block."""
-        return np.asarray(self.quantile(rng.random(n)), dtype=float)
+        """Draw n values by quantile inversion on a single uniform block.
+
+        rng.random draws from [0, 1); a zero maps to the support bottom.
+        """
+        return np.asarray(self._quantile(rng.random(n)), dtype=float)
 
 
 # ---------- families ----------
@@ -172,12 +183,11 @@ class Exponential(Distribution):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 1.0, np.exp(-self.rate * x))
 
-    def quantile(self, u):
-        u = _checked_unit(u)
-        return -np.log1p(-u) / self.rate
+    def _quantile(self, u):
+        # the bits of -log1p(-u) / rate, one array operation fewer
+        return np.log1p(-u) / -self.rate
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return -np.log(v) / self.rate
 
     def hazard(self, t):
@@ -213,12 +223,10 @@ class Pareto(Distribution):
         xs = np.where(inside, x, self.scale)
         return np.where(inside, (self.scale / xs) ** self.shape, 1.0)
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return self.scale * v ** (-1.0 / self.shape)
 
     def _check_tail(self, g, weighted=True):
@@ -265,12 +273,10 @@ class Uniform(Distribution):
         x = np.asarray(x, dtype=float)
         return np.clip((self.upper - x) / self._width(), 0.0, 1.0)
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return self.lower + self._width() * u
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return self.upper - self._width() * v
 
     def _wmrl_closed(self, t):
@@ -310,8 +316,7 @@ class Power(Distribution):
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return self.upper * u ** (1.0 / self.shape)
 
     def _wmit_closed(self, t):
@@ -342,12 +347,10 @@ class Rayleigh(Distribution):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 1.0, np.exp(-self.rate * x * x))
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return np.sqrt(-np.log1p(-u) / self.rate)
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return np.sqrt(-np.log(v) / self.rate)
 
     def _wmrl_closed(self, t):
@@ -378,12 +381,10 @@ class Weibull(Distribution):
         xs = np.where(x > 0.0, x, 0.0)
         return np.exp(-(xs**self.shape))
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return (-np.log1p(-u)) ** (1.0 / self.shape)
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return (-np.log(v)) ** (1.0 / self.shape)
 
 
@@ -410,12 +411,10 @@ class Gamma(Distribution):
         x = np.asarray(x, dtype=float)
         return special.gammaincc(self.shape, np.where(x > 0.0, x, 0.0))
 
-    def quantile(self, u):
-        u = _checked_unit(u)
+    def _quantile(self, u):
         return special.gammaincinv(self.shape, u)
 
-    def isf(self, v):
-        v = _checked_unit(v)
+    def _isf(self, v):
         return special.gammainccinv(self.shape, v)
 
     def sample_values(self, n, rng):
@@ -459,14 +458,11 @@ class Affine(Distribution):
     def sf(self, x):
         return self.base.sf(self._pullback(x))
 
-    def quantile(self, u):
-        return self.scale * self.base.quantile(u) + self.shift
+    def _quantile(self, u):
+        return self.scale * self.base._quantile(u) + self.shift
 
-    def isf(self, v):
-        return self.scale * self.base.isf(v) + self.shift
-
-    def _check_weighted_tail(self, g):
-        self.base._check_weighted_tail(g)
+    def _isf(self, v):
+        return self.scale * self.base._isf(v) + self.shift
 
 
 class ProportionalHazards(Distribution):
@@ -488,13 +484,13 @@ class ProportionalHazards(Distribution):
     def sf(self, x):
         return np.asarray(self.base.sf(x), dtype=float) ** self.theta
 
-    def quantile(self, u):
-        u = _checked_unit(u)
-        return self.base.isf((1.0 - u) ** (1.0 / self.theta))
+    # the base gets an array even for scalar input: numpy's scalar and array
+    # pow differ in the last bit, and quadrature results would move with it
+    def _quantile(self, u):
+        return self.base._isf(np.asarray((1.0 - u) ** (1.0 / self.theta)))
 
-    def isf(self, v):
-        v = _checked_unit(v)
-        return self.base.isf(v ** (1.0 / self.theta))
+    def _isf(self, v):
+        return self.base._isf(np.asarray(v ** (1.0 / self.theta)))
 
     def _check_tail(self, g, weighted=True):
         self.base._check_tail(g * self.theta, weighted)
@@ -511,10 +507,8 @@ class ProportionalReverseHazards(Distribution):
 
     def pdf(self, x):
         c = np.asarray(self.base.cdf(x), dtype=float)
-        out = np.zeros_like(c)
         pos = c > 0.0
-        out = np.where(pos, self.theta * np.where(pos, c, 1.0) ** (self.theta - 1.0) * self.base.pdf(x), 0.0)
-        return out
+        return np.where(pos, self.theta * np.where(pos, c, 1.0) ** (self.theta - 1.0) * self.base.pdf(x), 0.0)
 
     def cdf(self, x):
         return np.asarray(self.base.cdf(x), dtype=float) ** self.theta
@@ -522,9 +516,8 @@ class ProportionalReverseHazards(Distribution):
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def quantile(self, u):
-        u = _checked_unit(u)
-        return self.base.quantile(u ** (1.0 / self.theta))
+    def _quantile(self, u):
+        return self.base._quantile(np.asarray(u ** (1.0 / self.theta)))  # array, as above
 
     def _check_tail(self, g, weighted=True):
         # tail decay matches the base family up to the constant theta
@@ -586,7 +579,7 @@ def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarr
 
 def _checked_unit(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):  # positive form, so NaN fails too
         raise GwentropyError("probability argument must lie strictly inside (0, 1)")
     return u
 

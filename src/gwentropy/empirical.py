@@ -13,6 +13,7 @@ nothing, so the variants coincide there.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -87,6 +88,28 @@ def _half_gap_sum(values: np.ndarray, weights: np.ndarray) -> float:
     return float(((sq[1:] - sq[:-1]) / 2.0 * weights).sum())
 
 
+def _survival_weights(n: int, gamma: float) -> np.ndarray:
+    """Weight (1 - i/n) ** gamma of gap i = 1 .. n-1 on the survival side."""
+    i = np.arange(1, n)
+    return (1.0 - i / n) ** gamma
+
+
+def _log_survival_sum(x: np.ndarray, weights: np.ndarray, include_head: bool) -> float:
+    """Log of the survival gap sum over sorted x, plus x_(1)**2 / 2 if include_head.
+
+    The one kernel behind empirical_gwse, gof.statistic and the replication
+    engine; math.log, not np.log, keeps the simulated tables' bits.
+    """
+    total = _half_gap_sum(x, weights)
+    if include_head:
+        total += float(x[0] * x[0]) / 2.0
+    if not total > 0.0:
+        raise DegenerateSampleError(
+            "empirical survival integral is zero; sample carries no spread"
+        )
+    return math.log(total)
+
+
 def empirical_gwse(
     s: Sample,
     order: EntropyOrder,
@@ -100,16 +123,8 @@ def empirical_gwse(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    n = s.n
-    i = np.arange(1, n)
-    total = _half_gap_sum(s.values, (1.0 - i / n) ** order.gamma)
-    if variant is EstimatorVariant.FULL_STEP:
-        total += float(s.values[0]) ** 2 / 2.0
-    if not total > 0.0:
-        raise DegenerateSampleError(
-            "empirical survival integral is zero; sample carries no spread"
-        )
-    return float(np.log(total)) / order.delta
+    weights = _survival_weights(s.n, order.gamma)
+    return _log_survival_sum(s.values, weights, variant is EstimatorVariant.FULL_STEP) / order.delta
 
 
 def empirical_gwfe(

@@ -11,9 +11,12 @@ small values rejecting exponentiality.  T is exactly scale invariant
 (both terms shift by 2 * log(c) / delta under x -> c * x), so null critical
 values depend only on (order, n) and are simulated at unit rate.
 
-Replications run on counter-based substreams keyed by (seed, tag, n,
-replication index), so results are bit-identical regardless of how the work
-is split across worker processes.
+One replication path serves both simulations: the null is the alternative
+Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
+Replication r at size n draws from SeededSampler(seed, (tag << 56) |
+(n << 32) | r), so results are bit-identical regardless of how the work is
+split across worker processes.  statistic, empirical_gwse and the engine
+share one estimator kernel, empirical._log_survival_sum.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution
-from .empirical import EstimatorVariant, Sample, empirical_gwse
+from .distributions import Distribution, Exponential, SeededSampler
+from .empirical import EstimatorVariant, Sample, _log_survival_sum, _survival_weights
 from .entropy import EntropyOrder
-from .errors import DegenerateSampleError, GwentropyError, MissingTableEntryError
+from .errors import GwentropyError, MissingTableEntryError
 
 __all__ = [
     "TestConfig",
@@ -105,21 +108,12 @@ class PowerResult:
 # ---------- statistic ----------
 
 
-def _t_value(x: np.ndarray, gamma: float, delta: float, include_head: bool) -> float:
-    """T for a raw value vector; x may arrive unsorted."""
-    x = np.sort(x)
-    n = x.size
-    mean = x.mean()
-    sq = x * x
-    i = np.arange(1, n)
-    total = float(((sq[1:] - sq[:-1]) / 2.0 * (1.0 - i / n) ** gamma).sum())
-    if include_head:
-        total += float(sq[0]) / 2.0
-    if not (total > 0.0 and mean > 0.0):
-        raise DegenerateSampleError("statistic undefined: sample carries no spread")
-    estimate = math.log(total) / delta
+def _t_parts(x: np.ndarray, mean: float, weights: np.ndarray, gamma: float, delta: float,
+             include_head: bool) -> tuple[float, float, float]:
+    """Estimate, plug-in -2 * log(gamma / mean) / delta and T for sorted values x."""
+    estimate = _log_survival_sum(x, weights, include_head) / delta
     plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
-    return math.exp(-abs(estimate - plug_in))
+    return estimate, plug_in, math.exp(-abs(estimate - plug_in))
 
 
 def statistic(
@@ -133,50 +127,31 @@ def statistic(
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
     mean = float(s.values.mean())
-    if not mean > 0.0:
-        raise DegenerateSampleError("statistic undefined: sample mean is zero")
-    estimate = empirical_gwse(s, order, variant)
-    lam = 1.0 / mean
-    plug_in = -2.0 * math.log(lam * order.gamma) / order.delta
-    distance = abs(estimate - plug_in)
+    weights = _survival_weights(s.n, order.gamma)
+    include_head = variant is EstimatorVariant.FULL_STEP
+    estimate, plug_in, t = _t_parts(s.values, mean, weights, order.gamma, order.delta, include_head)
     return TestStatistic(
-        lambda_hat=lam,
+        lambda_hat=1.0 / mean,
         estimate=estimate,
         plug_in=plug_in,
-        distance=distance,
-        t_value=math.exp(-distance),
+        distance=abs(estimate - plug_in),
+        t_value=t,
     )
 
 
 # ---------- replication engine ----------
 
 
-def _substream(seed: int, tag: int, n: int, rep: int) -> np.random.Generator:
-    ctx = (tag << 56) | (n << 32) | rep
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, ctx & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _null_block(seed: int, alpha: float, beta: float, include_head: bool,
-                n: int, start: int, stop: int) -> np.ndarray:
-    order = EntropyOrder(alpha, beta)
-    g, dl = order.gamma, order.delta
+def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> np.ndarray:
+    """T for replications [start, stop) of size-n samples drawn from d."""
+    gamma, delta = cfg.order.gamma, cfg.order.delta
+    weights = _survival_weights(n, gamma)
+    include_head = cfg.variant is EstimatorVariant.FULL_STEP
     out = np.empty(stop - start, dtype=float)
     for r in range(start, stop):
-        rng = _substream(seed, _TAG_NULL, n, r)
-        x = -np.log1p(-rng.random(n))
-        out[r - start] = _t_value(x, g, dl, include_head)
-    return out
-
-
-def _alt_block(alt: Distribution, seed: int, alpha: float, beta: float,
-               include_head: bool, n: int, start: int, stop: int) -> np.ndarray:
-    order = EntropyOrder(alpha, beta)
-    g, dl = order.gamma, order.delta
-    out = np.empty(stop - start, dtype=float)
-    for r in range(start, stop):
-        rng = _substream(seed, _TAG_ALT, n, r)
-        out[r - start] = _t_value(alt.sample_values(n, rng), g, dl, include_head)
+        x = d.sample_values(n, SeededSampler(cfg.seed, (tag << 56) | (n << 32) | r).generator())
+        x.sort()
+        out[r - start] = _t_parts(x, x.mean(), weights, gamma, delta, include_head)[2]
     return out
 
 
@@ -195,6 +170,16 @@ def _gather_blocks(block_fn, static_args: tuple, n: int, reps: int, workers: int
         for fut, (start, stop) in futures.items():
             out[start:stop] = fut.result()
     return out
+
+
+def _sample_sizes(n_values) -> list[int]:
+    """Sorted distinct sample sizes, each at least 2."""
+    ns = sorted(set(int(n) for n in n_values))
+    if not ns:
+        raise GwentropyError("n_values must be non-empty")
+    if ns[0] < 2:
+        raise GwentropyError("sample sizes must be at least 2")
+    return ns
 
 
 def _lower_quantile(sorted_t: np.ndarray, level: float) -> float:
@@ -271,20 +256,30 @@ class CriticalTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalTable":
-        doc = json.loads(text)
-        if doc.get("schema") != 1 or doc.get("kind") != "critical-table":
+        """Parse a schema-1 table; any malformed document raises GwentropyError."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise GwentropyError(f"critical table is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("schema") != 1 or doc.get("kind") != "critical-table":
             raise GwentropyError("not a schema-1 critical-table document")
-        order = EntropyOrder(doc["order"]["alpha"], doc["order"]["beta"])
-        levels = tuple(float(v) for v in doc["levels"])
-        rows = {int(row["n"]): tuple(float(v) for v in row["values"]) for row in doc["rows"]}
-        return cls(
-            order=order,
-            levels=levels,
-            rows=rows,
-            replications=int(doc["replications"]),
-            seed=int(doc["seed"]),
-            variant=EstimatorVariant(doc["variant"]),
-        )
+        try:
+            order = EntropyOrder(doc["order"]["alpha"], doc["order"]["beta"])
+            levels = tuple(float(v) for v in doc["levels"])
+            rows = {int(row["n"]): tuple(float(v) for v in row["values"]) for row in doc["rows"]}
+            table = cls(
+                order=order,
+                levels=levels,
+                rows=rows,
+                replications=int(doc["replications"]),
+                seed=int(doc["seed"]),
+                variant=EstimatorVariant(doc["variant"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GwentropyError(f"malformed critical-table document: {exc!r}") from exc
+        if any(len(values) != len(levels) for values in rows.values()):
+            raise GwentropyError("malformed critical-table document: row length differs from levels")
+        return table
 
     def to_csv(self) -> str:
         lines = ["n,level,value"]
@@ -311,16 +306,9 @@ def critical_values(
     levels = tuple(float(v) for v in levels)
     if not levels or any(not 0.0 < v < 1.0 for v in levels):
         raise GwentropyError("levels must lie strictly inside (0, 1)")
-    include_head = cfg.variant is EstimatorVariant.FULL_STEP
-    ns = sorted(set(int(n) for n in n_values))
-    if not ns:
-        raise GwentropyError("n_values must be non-empty")
     rows: dict[int, tuple[float, ...]] = {}
-    for n in ns:
-        if n < 2:
-            raise GwentropyError("table requires n >= 2")
-        args = (cfg.seed, cfg.order.alpha, cfg.order.beta, include_head)
-        t = _gather_blocks(_null_block, args, n, cfg.replications, workers)
+    for n in _sample_sizes(n_values):
+        t = _gather_blocks(_replicate, (Exponential(1.0), _TAG_NULL, cfg), n, cfg.replications, workers)
         t.sort()
         rows[n] = tuple(_lower_quantile(t, lv) for lv in levels)
     return CriticalTable(
@@ -391,13 +379,12 @@ def power_study(
     """
     cfg = cfg or TestConfig()
     levels = tuple(float(v) for v in levels)
+    ns = _sample_sizes(n_values)
     if table is None:
-        table = critical_values(n_values, levels, cfg, workers)
-    include_head = cfg.variant is EstimatorVariant.FULL_STEP
+        table = critical_values(ns, levels, cfg, workers)
     results = []
-    for n in sorted(set(int(n) for n in n_values)):
-        args = (alt, cfg.seed, cfg.order.alpha, cfg.order.beta, include_head)
-        t = _gather_blocks(_alt_block, args, n, cfg.replications, workers)
+    for n in ns:
+        t = _gather_blocks(_replicate, (alt, _TAG_ALT, cfg), n, cfg.replications, workers)
         for level in levels:
             cv = table.value(n, level)
             results.append(

@@ -72,7 +72,7 @@ def run_closed_form_suite(
 
     def cell(name, one_draw):
         stream = zlib.crc32(name.encode("ascii"))
-        rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        rng = dist.SeededSampler(seed, stream).generator()
         worst = 0.0
         for _ in range(draws):
             worst = max(worst, one_draw(rng))

@@ -228,6 +228,45 @@ def test_usage_error_unknown_command():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-table", "--n", "5", "-B", "0"],
+        ["power", "--alt", "weibull(2)", "--n", "5", "--replications", "-3"],
+        ["gof-test", "--data", "x.txt", "-B", "0"],
+        ["verify", "--draws", "0"],
+    ],
+)
+def test_usage_error_nonpositive_count(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json at all",
+        '{"schema": 1, "kind": "critical-table"}',
+        '{"schema": 1, "kind": "critical-table", "order": {"alpha": 0.26, "beta": 1.25},'
+        ' "levels": [0.05], "replications": "many", "seed": 0, "variant": "gaps-only",'
+        ' "rows": [{"n": 20, "values": [0.3]}]}',
+        '{"schema": 1, "kind": "critical-table", "order": {"alpha": 0.26, "beta": 1.25},'
+        ' "levels": [0.05], "replications": 10, "seed": 0, "variant": "gaps-only",'
+        ' "rows": [{"n": 20, "values": 0.3}]}',
+        "[1, 2]",
+    ],
+)
+def test_domain_error_malformed_table(text, capsys, tmp_path):
+    tp = tmp_path / "table.json"
+    tp.write_text(text)
+    path = write_values(tmp_path, "x.txt", [0.3, 1.2, 0.7, 2.5, 0.1])
+    code, out, err = run_cli(capsys, "gof-test", "--data", path, "--table", str(tp))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_domain_error_divergence(capsys):
     code, out, err = run_cli(capsys, "entropy", "--dist", "pareto(3,1)")
     assert code == 1 and out == ""

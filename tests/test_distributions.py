@@ -105,6 +105,63 @@ def test_quantile_rejects_boundary():
             d.isf(bad)
 
 
+def test_quantile_rejects_nan():
+    for d in (Exponential(1.0), Weibull(2.0), Affine(Exponential(1.0), 2.0)):
+        with pytest.raises(GwentropyError):
+            d.quantile(math.nan)
+        with pytest.raises(GwentropyError):
+            d.isf(np.array([0.5, math.nan]))
+
+
+class _ZeroGenerator:
+    """Stands in for a generator whose uniform draws are all exactly 0."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Exponential(1.0),
+        Weibull(2.0),
+        Pareto(3.0, 0.5),
+        Uniform(0.4, 2.1),
+        Power(1.7, 2.2),
+        Affine(Exponential(2.0), 3.0, 1.0),
+        ProportionalHazards(Weibull(1.5), 2.0),
+        ProportionalReverseHazards(Rayleigh(0.7), 0.5),
+    ],
+    ids=lambda d: type(d).__name__,
+)
+def test_zero_draw_maps_to_support_bottom(d):
+    x = d.sample_values(4, _ZeroGenerator())
+    np.testing.assert_array_equal(x, np.full(4, d.support[0]))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Power(1.7, 2.2),
+        ProportionalHazards(Pareto(4.5, 0.8), 1.7),
+        ProportionalReverseHazards(Power(2.0, 1.0), 0.6),
+    ],
+    ids=lambda d: type(d).__name__,
+)
+def test_scalar_inverse_matches_array_bits(d):
+    # quadrature calls isf one scalar at a time; a wrapper must hand its base
+    # an array, since numpy's scalar pow rounds differently from its array pow
+    u = np.linspace(0.01, 0.99, 99)
+    assert [float(d.quantile(x)) for x in u] == list(d.quantile(u))
+    assert [float(d.isf(x)) for x in u] == list(d.isf(u))
+
+
+def test_exponential_sample_is_log1p_inversion():
+    u = SeededSampler(3, 11).generator().random(50)
+    x = Exponential(1.0).sample_values(50, SeededSampler(3, 11).generator())
+    np.testing.assert_array_equal(x, -np.log1p(-u))
+
+
 def test_parameter_validation():
     with pytest.raises(GwentropyError):
         Exponential(0.0)

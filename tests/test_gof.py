@@ -152,11 +152,36 @@ def test_quantile_index_matches_order_statistic():
     # the critical value must be the ceil(level * B)-th smallest simulated T
     cfg = TestConfig(replications=200, seed=3)
     t = critical_values([6], levels=(0.05,), cfg=cfg)
-    from gwentropy.gof import _gather_blocks, _null_block
+    from gwentropy.gof import _replicate
 
-    args = (cfg.seed, cfg.order.alpha, cfg.order.beta, False)
-    draws = np.sort(_gather_blocks(_null_block, args, 6, 200, 1))
+    # the null is the Exponential(1) alternative on tag 1
+    draws = np.sort(_replicate(Exponential(1.0), 1, cfg, 6, 0, 200))
     assert t.value(6, 0.05) == draws[math.ceil(0.05 * 200) - 1]
+
+
+def test_critical_rows_and_power_count_pinned():
+    # exact values guard the engine's bits across restructuring; no tolerance
+    cfg = TestConfig(replications=2000, seed=77)
+    t = critical_values([5, 20], cfg=cfg)
+    assert t.rows == {
+        5: (0.11938163980555819, 0.17730577060410344, 0.20738175776149295),
+        20: (0.2864815830175768, 0.3412480245490921, 0.3741074328957723),
+    }
+    res = power_study(Weibull(2.0), [10], cfg=cfg)
+    assert [r.rejections for r in res] == [783, 1430, 1652]
+
+
+def test_replication_block_survives_zero_draw(monkeypatch):
+    # rng.random may return exactly 0; it must map to the support bottom
+    class ZeroFirst:
+        def random(self, n):
+            return np.linspace(0.0, 0.9, n)
+
+    from gwentropy import gof
+
+    monkeypatch.setattr(gof.SeededSampler, "generator", lambda self: ZeroFirst())
+    t = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
+    assert np.all((t > 0.0) & (t <= 1.0))
 
 
 # ---------- running the test ----------
@@ -217,6 +242,12 @@ def test_power_study_shapes_and_range():
         assert 0.0 <= r.power <= 1.0
         assert r.replications == 400
         assert r.rejections == round(r.power * 400)
+
+
+def test_power_study_rejects_small_sample_size():
+    table = critical_values([5], cfg=TestConfig(replications=100))
+    with pytest.raises(GwentropyError, match="at least 2"):
+        power_study(Weibull(2.0), [1], cfg=TestConfig(replications=100), table=table)
 
 
 def test_power_study_deterministic():
