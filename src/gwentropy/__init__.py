@@ -46,7 +46,6 @@ from .entropy import (
     EntropyKind,
     EntropyOrder,
     EntropyValue,
-    QuadratureConfig,
     gdwfe,
     gdwse,
     gfe,
@@ -97,7 +96,6 @@ __all__ = [
     "EntropyOrder",
     "EntropyKind",
     "EntropyValue",
-    "QuadratureConfig",
     "gwse",
     "gwfe",
     "gse",

@@ -1,92 +1,69 @@
-"""Adaptive quadrature backend for the entropy measures.
+"""The power integrals behind every measure: closed form or adaptive quadrature.
 
 All integrals reduce to one of two shapes:
 
-* survival type: integral of w(x) * (sf(x) / sf(t))**g over [lower, hi]
+* survival type: integral of w(x) * (sf(x) / sf(t))**g over [max(t, lo), hi]
 * failure type:  integral of w(x) * (cdf(x) / cdf(t))**g over [lo, t]
 
-with weight w(x) = x (weighted measures) or w(x) = 1.  Finite supports are
-integrated directly in x.  Infinite supports are mapped through v = sf(x),
-which turns the tail into a finite interval (0, sf(lower)] with at worst an
-algebraic endpoint singularity, the case the QAGS extrapolation in
-scipy.integrate.quad is built for.
+with weight w(x) = x (weighted measures) or w(x) = 1.  ``survival_integral``
+and ``failure_integral`` are the one place that checks the domain and the
+method and picks the route: a family's own closed form
+(``Distribution._survival_closed`` / ``_failure_closed``) or quadrature.
+
+Finite supports are integrated directly in x.  Infinite supports are mapped
+through v = sf(x), which turns the tail into a finite interval
+(0, sf(lower)] with at worst an algebraic endpoint singularity, the case the
+QAGS extrapolation in scipy.integrate.quad is built for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
 
-__all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE"]
+from .errors import DivergenceError, GwentropyError
+
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 200
+
+_METHODS = ("auto", "closed", "quadrature")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits shared by every quadrature-backed evaluation.
-
-    tail_quantile is the upper-tail mass discarded when an integrand must be
-    evaluated in x over an infinite support (entropy-style integrals that
-    cannot be substituted); the core measures use an exact substitution and
-    never truncate.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tail_quantile: float = 1e-12
-    max_subdivisions: int = 200
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive integral of f over [a, b] under the shared tolerances."""
     if not b > a:
         return 0.0
-    value = quad(
-        f,
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )[0]
+    return quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)[0]
+
+
+def _closed(method: str, closed_fn, *args) -> float | None:
+    """The closed value for `method`, or None when quadrature should run."""
+    if method not in _METHODS:
+        raise GwentropyError(f"unknown method {method!r}")
+    if method == "quadrature":
+        return None
+    value = closed_fn(*args)
+    if value is None and method == "closed":
+        raise GwentropyError("no closed form for this family")
     return value
 
 
-def survival_power_integral(
-    d,
-    g: float,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    weighted: bool = True,
-    from_support: bool = True,
-) -> float:
-    """Integral of w(x) * (sf(x)/sf(t))**g from `lower` to the support top.
+def survival_integral(d, g: float, t: float = 0.0, method: str = "auto", weighted: bool = True) -> float:
+    """Integral of w(x) * (sf(x)/sf(t))**g from max(t, support bottom) up."""
+    if not float(d.sf(t)) > 0.0:
+        raise GwentropyError(f"survival is zero at t={t}")
+    d._check_tail(g, weighted=weighted)
+    # sf is 1 at and below the support bottom, so clamping t there is exact
+    closed = _closed(method, d._survival_closed, g, max(t, d.support[0]), weighted)
+    if closed is not None:
+        return closed
 
-    `lower` is max(t, support bottom) when from_support is set (the measure
-    convention) and t itself otherwise (mean-residual convention, where the
-    stretch below the support bottom contributes with sf = 1).
-    """
     lo, hi = d.support
-    sf_t = float(d.sf(t))
-    log_sf_t = math.log(sf_t)
+    log_sf_t = math.log(float(d.sf(t)))
     start = max(t, lo)
-    head = 0.0
-    if not from_support and t < lo:
-        # sf is identically 1 below the support, so this piece is exact.
-        scale = math.exp(-g * log_sf_t)
-        head = scale * ((lo * lo - t * t) / 2.0 if weighted else (lo - t))
 
     if math.isinf(hi):
         v_top = float(d.sf(start))
@@ -97,7 +74,7 @@ def survival_power_integral(
             w = x if weighted else 1.0
             return w * ratio / float(d.pdf(x))
 
-        return head + integrate(integrand, 0.0, v_top, cfg)
+        return integrate(integrand, 0.0, v_top)
 
     def integrand_x(x: float) -> float:
         s = float(d.sf(x))
@@ -106,36 +83,32 @@ def survival_power_integral(
         ratio = math.exp(g * (math.log(s) - log_sf_t))
         return (x if weighted else 1.0) * ratio
 
-    return head + integrate(integrand_x, start, hi, cfg)
+    return integrate(integrand_x, start, hi)
 
 
-def failure_power_integral(
-    d,
-    g: float,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    weighted: bool = True,
-) -> float:
-    """Integral of w(x) * (cdf(x)/cdf(t))**g from the support bottom to t.
-
-    For t beyond the support top the ratio is 1 on [hi, t] and that stretch
-    is added in closed form.
-    """
+def failure_integral(d, g: float, t: float | None = None, method: str = "auto", weighted: bool = True) -> float:
+    """Integral of w(x) * (cdf(x)/cdf(s))**g from the support bottom to s,
+    where s = min(t, support top), or s = support top when t is None."""
     lo, hi = d.support
-    cdf_t = float(d.cdf(t))
-    log_cdf_t = math.log(cdf_t)
-    stop = min(t, hi)
-    tail = 0.0
-    if t > hi:
-        scale = math.exp(-g * log_cdf_t)
-        tail = scale * ((t * t - hi * hi) / 2.0 if weighted else (t - hi))
+    if t is None:
+        if math.isinf(hi):
+            raise DivergenceError("failure-side measure diverges on an infinite support")
+        s = hi
+    else:
+        s = min(float(t), hi)
+        if not float(d.cdf(s)) > 0.0:
+            raise GwentropyError(f"cdf is zero at t={t}")
+    closed = _closed(method, d._failure_closed, g, s, weighted)
+    if closed is not None:
+        return closed
+
+    log_cdf_s = math.log(float(d.cdf(s)))
 
     def integrand_x(x: float) -> float:
         c = float(d.cdf(x))
         if c <= 0.0:
             return 0.0
-        ratio = math.exp(g * (math.log(c) - log_cdf_t))
+        ratio = math.exp(g * (math.log(c) - log_cdf_s))
         return (x if weighted else 1.0) * ratio
 
-    return tail + integrate(integrand_x, lo, stop, cfg)
+    return integrate(integrand_x, lo, s)

@@ -22,16 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import distributions as dist
-from ._quad import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from .entropy import (
-    EntropyOrder,
-    _failure_integral,
-    _survival_integral,
-    gdwfe,
-    gdwse,
-    gwfe,
-    gwse,
-)
+from ._quad import failure_integral, integrate, survival_integral
+from .entropy import EntropyOrder, gdwfe, gdwse, gwfe, gwse
 from .errors import DivergenceError, GwentropyError
 
 __all__ = [
@@ -89,14 +81,9 @@ def reverse_hazard_from_gdwfe(
     return (t * math.exp(-order.delta * g(t)) - order.delta * slope) / order.gamma
 
 
-def gdwse_derivative(
-    d,
-    order: EntropyOrder,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def gdwse_derivative(d, order: EntropyOrder, t: float) -> float:
     """Exact derivative of t -> gdwse(d, order, t) via the identity above."""
-    value = gdwse(d, order, t, cfg).value
+    value = gdwse(d, order, t).value
     return (order.gamma * d.hazard(t) - t * math.exp(-order.delta * value)) / order.delta
 
 
@@ -106,12 +93,7 @@ class Monotonicity(enum.Enum):
     MIXED = "mixed"
 
 
-def classify_gdwse_monotonicity(
-    d,
-    order: EntropyOrder,
-    grid: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> Monotonicity:
+def classify_gdwse_monotonicity(d, order: EntropyOrder, grid: Sequence[float] | None = None) -> Monotonicity:
     """Classify t -> gdwse(d, order, t) on a grid of derivative signs.
 
     The default grid is 64 points between the 0.001 and 0.999 quantiles.
@@ -122,7 +104,7 @@ def classify_gdwse_monotonicity(
         lo = float(d.quantile(0.001))
         hi = float(d.quantile(0.999))
         grid = np.linspace(lo, hi, 64)
-    slopes = np.array([gdwse_derivative(d, order, float(t), cfg) for t in grid])
+    slopes = np.array([gdwse_derivative(d, order, float(t)) for t in grid])
     tol = 1e-9 * (1.0 + float(np.max(np.abs(slopes))))
     if np.all(slopes >= -tol):
         return Monotonicity.INCREASING
@@ -152,14 +134,7 @@ class AffineCheck:
     failure: float | None
 
 
-def affine_identity_check(
-    d,
-    order: EntropyOrder,
-    scale: float,
-    shift: float,
-    t: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> AffineCheck:
+def affine_identity_check(d, order: EntropyOrder, scale: float, shift: float, t: float | None = None) -> AffineCheck:
     """Check exp-scale affine covariance of the weighted measures.
 
     The transformed side is always evaluated by quadrature through the
@@ -170,19 +145,19 @@ def affine_identity_check(
     g = order.gamma
     s = 0.0 if t is None else (t - shift) / scale
 
-    lhs = _survival_integral(z, g, 0.0 if t is None else t, cfg, "quadrature")
-    base_w = _survival_integral(d, g, s, cfg)
-    base_p = _survival_integral(d, g, s, cfg, weighted=False)
+    lhs = survival_integral(z, g, 0.0 if t is None else t, "quadrature")
+    base_w = survival_integral(d, g, s)
+    base_p = survival_integral(d, g, s, weighted=False)
     rhs = scale**2 * base_w + scale * shift * base_p
     survival = abs(lhs - rhs) / abs(lhs)
 
     failure = None
     if math.isfinite(d.support[1]):
         tz = None if t is None else t
-        lhs_f = _failure_integral(z, g, tz, cfg, "quadrature")
+        lhs_f = failure_integral(z, g, tz, "quadrature")
         tf = None if t is None else s
-        base_wf = _failure_integral(d, g, tf, cfg)
-        base_pf = _failure_integral(d, g, tf, cfg, weighted=False)
+        base_wf = failure_integral(d, g, tf)
+        base_pf = failure_integral(d, g, tf, weighted=False)
         rhs_f = scale**2 * base_wf + scale * shift * base_pf
         failure = abs(lhs_f - rhs_f) / abs(lhs_f)
 
@@ -220,7 +195,6 @@ def proportional_model_check(
     order: EntropyOrder,
     theta: float,
     side: str = "survival",
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     slack: float = 1e-9,
 ) -> ProportionalModelCheck:
     """Check the proportional-model reduction and the theta orderings.
@@ -244,9 +218,9 @@ def proportional_model_check(
         measure = gwfe
     scaled = dist.Affine(d, theta)
 
-    value_model = measure(model, order, cfg).value
-    value_base = measure(d, order, cfg).value
-    value_scaled = measure(scaled, order, cfg).value
+    value_model = measure(model, order).value
+    value_base = measure(d, order).value
+    value_scaled = measure(scaled, order).value
 
     if theta >= 1.0:
         chain_ok = (
@@ -264,7 +238,7 @@ def proportional_model_check(
     residual = None
     if applicable:
         transformed = EntropyOrder(alpha_t, beta_t)
-        rhs = (transformed.delta / order.delta) * measure(d, transformed, cfg).value
+        rhs = (transformed.delta / order.delta) * measure(d, transformed).value
         residual = abs(value_model - rhs) / max(1.0, abs(value_model))
 
     return ProportionalModelCheck(
@@ -320,97 +294,58 @@ def _lower(name: str, lhs: float, rhs: float) -> BoundResult:
     return BoundResult(name, lhs, rhs, lhs - rhs, True)
 
 
-def _x_cap(d, cfg: QuadratureConfig) -> float:
+_TAIL_QUANTILE = 1e-12  # upper-tail mass dropped where an x-integral meets an infinite support
+
+
+def _x_cap(d) -> float:
     hi = d.support[1]
-    return hi if math.isfinite(hi) else float(d.isf(cfg.tail_quantile))
+    return hi if math.isfinite(hi) else float(d.isf(_TAIL_QUANTILE))
 
 
-def _residual_entropy(d, t: float, cfg: QuadratureConfig) -> float:
-    """Shannon entropy of the residual life past t (t = 0 gives H(X))."""
-    s_t = float(d.sf(t))
-    start = max(t, d.support[0])
-
-    def integrand(x: float) -> float:
-        fx = float(d.pdf(x)) / s_t
-        return -fx * math.log(fx) if fx > 0.0 else 0.0
-
-    return integrate(integrand, start, _x_cap(d, cfg), cfg)
-
-
-def _past_entropy(d, t: float, cfg: QuadratureConfig) -> float:
-    """Shannon entropy of the inactivity time before t."""
-    c_t = float(d.cdf(t))
-    stop = min(t, d.support[1])
-
-    def integrand(x: float) -> float:
-        fx = float(d.pdf(x)) / c_t
-        return -fx * math.log(fx) if fx > 0.0 else 0.0
-
-    return integrate(integrand, d.support[0], stop, cfg)
-
-
-def _conditional_log_moment(d, t: float, cfg: QuadratureConfig, side: str) -> float:
-    """E[log X | X > t] (side 'survival') or E[log X | X <= t] ('failure')."""
+def _shannon_rhs(d, t: float, side: str) -> float:
+    """H + E[log X] of X | X > t (side 'survival'; t = 0 gives H(X) + E[log X])
+    or of X | X <= t ('failure'), both over the same conditioning window."""
     if side == "survival":
-        w = float(d.sf(t))
-        a, b = max(t, d.support[0]), _x_cap(d, cfg)
+        w, a, b = float(d.sf(t)), max(t, d.support[0]), _x_cap(d)
     else:
-        w = float(d.cdf(t))
-        a, b = d.support[0], min(t, d.support[1])
+        w, a, b = float(d.cdf(t)), d.support[0], min(t, d.support[1])
 
-    def integrand(x: float) -> float:
+    def entropy(x: float) -> float:
+        fx = float(d.pdf(x)) / w
+        return -fx * math.log(fx) if fx > 0.0 else 0.0
+
+    def log_moment(x: float) -> float:
         fx = float(d.pdf(x))
         return fx * math.log(x) / w if fx > 0.0 and x > 0.0 else 0.0
 
-    return integrate(integrand, a, b, cfg)
+    return integrate(entropy, a, b) + integrate(log_moment, a, b)
 
 
-def _logsum_rhs_survival(d, order: EntropyOrder, t: float, cfg: QuadratureConfig) -> float:
+def _logsum_rhs(d, order: EntropyOrder, t: float, side: str) -> float:
+    """Interval log-sum bound on the dynamic measure at t for one side."""
     g = order.gamma
-    log_sf_t = math.log(float(d.sf(t)))
-    hi = d.support[1]
+    if side == "survival":
+        fn, a, b = d.sf, t, d.support[1]
+    else:
+        fn, a, b = d.cdf, d.support[0], t
+    log_fn_t = math.log(float(fn(t)))
 
     def h(x: float) -> float:
-        s = float(d.sf(x))
+        s = float(fn(x))
         if s <= 0.0 or x <= 0.0:
             return 0.0
-        return x * math.exp(g * (math.log(s) - log_sf_t))
+        return x * math.exp(g * (math.log(s) - log_fn_t))
 
     def h_log_h(x: float) -> float:
         v = h(x)
         return v * math.log(v) if v > 0.0 else 0.0
 
-    total = integrate(h, t, hi, cfg)
-    weighted = integrate(h_log_h, t, hi, cfg)
-    return weighted / (order.delta * total) + math.log(hi - t) / order.delta
+    total = integrate(h, a, b)
+    weighted = integrate(h_log_h, a, b)
+    return weighted / (order.delta * total) + math.log(b - a) / order.delta
 
 
-def _logsum_rhs_failure(d, order: EntropyOrder, t: float, cfg: QuadratureConfig) -> float:
-    g = order.gamma
-    log_cdf_t = math.log(float(d.cdf(t)))
-    lo = d.support[0]
-
-    def h(x: float) -> float:
-        c = float(d.cdf(x))
-        if c <= 0.0 or x <= 0.0:
-            return 0.0
-        return x * math.exp(g * (math.log(c) - log_cdf_t))
-
-    def h_log_h(x: float) -> float:
-        v = h(x)
-        return v * math.log(v) if v > 0.0 else 0.0
-
-    total = integrate(h, lo, t, cfg)
-    weighted = integrate(h_log_h, lo, t, cfg)
-    return weighted / (order.delta * total) + math.log(t - lo) / order.delta
-
-
-def bound_check(
-    d,
-    order: EntropyOrder,
-    t: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BoundReport:
+def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
     """Evaluate the bound inequalities; dynamic ones only when t is given.
 
     Upper bounds through the weighted residual moments (wmrl / wmit) rest
@@ -425,11 +360,11 @@ def bound_check(
     results: list[BoundResult] = []
 
     try:
-        svalue = gwse(d, order, cfg).value
+        svalue = gwse(d, order).value
     except DivergenceError as exc:
         svalue = None
         sreason = str(exc)
-    fvalue = gwfe(d, order, cfg).value if finite else None
+    fvalue = gwfe(d, order).value if finite else None
 
     # ---- weighted-moment upper bounds (need gamma >= 1) ----
     if g < 1.0:
@@ -437,23 +372,24 @@ def bound_check(
     elif svalue is None:
         results.append(_skip("wmrl-upper", sreason))
     else:
-        results.append(_upper("wmrl-upper", svalue, math.log(d.wmrl(0.0, cfg)) / dl))
+        results.append(_upper("wmrl-upper", svalue, math.log(d.wmrl(0.0)) / dl))
 
     if not finite:
         results.append(_skip("wmit-upper", "requires a finite support"))
     elif g < 1.0:
         results.append(_skip("wmit-upper", "requires gamma >= 1"))
     else:
-        results.append(_upper("wmit-upper", fvalue, math.log(d.wmit(hi, cfg)) / dl))
+        results.append(_upper("wmit-upper", fvalue, math.log(d.wmit(hi)) / dl))
 
     # ---- Shannon lower bounds ----
+    # at t = 0 and at the support top both sides condition on nothing, so
+    # they share the right-hand side H(X) + E[log X]
+    rhs = _shannon_rhs(d, 0.0, "survival") if svalue is not None or finite else None
     if svalue is None:
         results.append(_skip("shannon-lower-survival", sreason))
     else:
-        rhs = _residual_entropy(d, 0.0, cfg) + _conditional_log_moment(d, 0.0, cfg, "survival")
         results.append(_lower("shannon-lower-survival", dl * svalue + g, rhs))
     if finite:
-        rhs = _residual_entropy(d, 0.0, cfg) + _conditional_log_moment(d, 0.0, cfg, "survival")
         results.append(_lower("shannon-lower-failure", dl * fvalue + g, rhs))
     else:
         results.append(_skip("shannon-lower-failure", "requires a finite support"))
@@ -470,7 +406,7 @@ def bound_check(
             results.append(_skip(name, "survival is zero at t"))
     else:
         try:
-            dvalue = gdwse(d, order, t, cfg).value
+            dvalue = gdwse(d, order, t).value
         except DivergenceError as exc:
             dvalue = None
             dreason = str(exc)
@@ -479,11 +415,11 @@ def bound_check(
         elif g < 1.0:
             results.append(_skip("wmrl-upper-dynamic", "requires gamma >= 1"))
         else:
-            results.append(_upper("wmrl-upper-dynamic", dvalue, math.log(d.wmrl(t, cfg)) / dl))
+            results.append(_upper("wmrl-upper-dynamic", dvalue, math.log(d.wmrl(t)) / dl))
         if dvalue is None:
             results.append(_skip("shannon-lower-survival-dynamic", dreason))
         else:
-            rhs = _residual_entropy(d, t, cfg) + _conditional_log_moment(d, t, cfg, "survival")
+            rhs = _shannon_rhs(d, t, "survival")
             results.append(_lower("shannon-lower-survival-dynamic", dl * dvalue + g, rhs))
         if dvalue is None:
             results.append(_skip("interval-logsum-upper-survival", dreason))
@@ -493,25 +429,25 @@ def bound_check(
             results.append(_skip("interval-logsum-upper-survival", "requires t inside the support"))
         else:
             results.append(
-                _upper("interval-logsum-upper-survival", dvalue, _logsum_rhs_survival(d, order, t, cfg))
+                _upper("interval-logsum-upper-survival", dvalue, _logsum_rhs(d, order, t, "survival"))
             )
 
     if cdf_t <= 0.0:
         for name in ("wmit-upper-dynamic", "shannon-lower-failure-dynamic", "interval-logsum-upper-failure"):
             results.append(_skip(name, "cdf is zero at t"))
     else:
-        fdyn = gdwfe(d, order, t, cfg).value
+        fdyn = gdwfe(d, order, t).value
         if g < 1.0:
             results.append(_skip("wmit-upper-dynamic", "requires gamma >= 1"))
         else:
-            results.append(_upper("wmit-upper-dynamic", fdyn, math.log(d.wmit(min(t, hi), cfg)) / dl))
-        rhs = _past_entropy(d, t, cfg) + _conditional_log_moment(d, t, cfg, "failure")
+            results.append(_upper("wmit-upper-dynamic", fdyn, math.log(d.wmit(min(t, hi))) / dl))
+        rhs = _shannon_rhs(d, t, "failure")
         results.append(_lower("shannon-lower-failure-dynamic", dl * fdyn + g, rhs))
         if not lo < t <= hi:
             results.append(_skip("interval-logsum-upper-failure", "requires t inside the support"))
         else:
             results.append(
-                _upper("interval-logsum-upper-failure", fdyn, _logsum_rhs_failure(d, order, t, cfg))
+                _upper("interval-logsum-upper-failure", fdyn, _logsum_rhs(d, order, t, "failure"))
             )
 
     return BoundReport(order, t, tuple(results))

@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-table", help="simulate a critical-value table")
     p.add_argument("--n", type=_n_values_arg, required=True, help="sample sizes, e.g. '4:30,35:50:5'")
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS, help="comma-separated levels (default 0.01,0.05,0.10)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (result is worker-count independent)")
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker processes (result is worker-count independent)")
     _add_order_args(p)
     _add_sim_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_values_arg, required=True)
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS)
     p.add_argument("--table", help="use critical values from this JSON table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_order_args(p)
     _add_sim_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")

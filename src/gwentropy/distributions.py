@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._quad import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    failure_power_integral,
-    survival_power_integral,
-)
+from ._quad import failure_integral, survival_integral
 from .errors import DivergenceError, GwentropyError
 
 __all__ = [
@@ -105,48 +100,29 @@ class Distribution:
         _require(c > 0.0, f"reverse hazard undefined at t={t}: cdf is zero")
         return float(self.pdf(t)) / c
 
-    def wmrl(
-        self,
-        t: float = 0.0,
-        cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-        method: str = "auto",
-    ) -> float:
+    def wmrl(self, t: float = 0.0, method: str = "auto") -> float:
         """Weighted mean residual life: integral of x * sf(x)/sf(t) over (t, inf).
 
         At t = 0 this equals half the second moment.
         """
         _require(t >= 0.0, "wmrl requires t >= 0")
-        _require(float(self.sf(t)) > 0.0, f"wmrl undefined at t={t}: survival is zero")
-        self._check_tail(1.0, weighted=True)
-        if method != "quadrature":
-            closed = self._wmrl_closed(t)
-            if closed is not None:
-                return closed
-            if method == "closed":
-                raise GwentropyError("no closed form for wmrl of this family")
-        return survival_power_integral(self, 1.0, t, cfg, weighted=True, from_support=False)
+        lo = self.support[0]
+        # sf = 1 below the support bottom, so that stretch is exact
+        head = (lo * lo - t * t) / 2.0 if t < lo else 0.0
+        return head + survival_integral(self, 1.0, t, method)
 
-    def wmit(
-        self,
-        t: float,
-        cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-        method: str = "auto",
-    ) -> float:
+    def wmit(self, t: float, method: str = "auto") -> float:
         """Weighted mean inactivity time: integral of x * cdf(x)/cdf(t) over (0, t)."""
-        _require(float(self.cdf(t)) > 0.0, f"wmit undefined at t={t}: cdf is zero")
-        if method != "quadrature":
-            closed = self._wmit_closed(t)
-            if closed is not None:
-                return closed
-            if method == "closed":
-                raise GwentropyError("no closed form for wmit of this family")
-        return failure_power_integral(self, 1.0, t, cfg, weighted=True)
+        hi = self.support[1]
+        # cdf = 1 above the support top, so that stretch is exact
+        tail = (t * t - hi * hi) / 2.0 if t > hi else 0.0
+        return tail + failure_integral(self, 1.0, t, method)
 
-    # closed forms; None means fall back to quadrature
-    def _wmrl_closed(self, t: float) -> float | None:
+    # closed forms of the power integrals in _quad; None means quadrature
+    def _survival_closed(self, g: float, t: float, weighted: bool) -> float | None:
         return None
 
-    def _wmit_closed(self, t: float) -> float | None:
+    def _failure_closed(self, g: float, t: float, weighted: bool) -> float | None:
         return None
 
     def _check_tail(self, g: float, weighted: bool = True) -> None:
@@ -194,8 +170,9 @@ class Exponential(Distribution):
         _require(t >= 0.0, "hazard defined on t >= 0")
         return self.rate
 
-    def _wmrl_closed(self, t):
-        return (1.0 + t * self.rate) / self.rate**2
+    def _survival_closed(self, g, t, weighted):
+        lg = self.rate * g
+        return (1.0 + t * lg) / lg**2 if weighted else 1.0 / lg
 
 
 class Pareto(Distribution):
@@ -238,13 +215,10 @@ class Pareto(Distribution):
                 f" (needs shape * {g:g} > {need:g})"
             )
 
-    def _wmrl_closed(self, t):
+    def _survival_closed(self, g, t, weighted):
         s = max(t, self.scale)
-        tail = s * s / (self.shape - 2.0)
-        if t < self.scale:
-            # sf = 1 below the lower endpoint
-            tail += (self.scale**2 - t * t) / 2.0
-        return tail
+        ag = self.shape * g
+        return s * s / (ag - 2.0) if weighted else s / (ag - 1.0)
 
 
 class Uniform(Distribution):
@@ -279,18 +253,17 @@ class Uniform(Distribution):
     def _isf(self, v):
         return self.upper - self._width() * v
 
-    def _wmrl_closed(self, t):
-        if t >= self.lower:
-            return (self.upper - t) * (self.upper + 2.0 * t) / 6.0
-        w = self._width()
-        return (self.lower**2 - t * t) / 2.0 + w * (self.upper + 2.0 * self.lower) / 6.0
+    def _survival_closed(self, g, t, weighted):
+        w = self.upper - max(t, self.lower)
+        if weighted:
+            return w * (self.upper / (g + 1.0) - w / (g + 2.0))
+        return w / (g + 1.0)
 
-    def _wmit_closed(self, t):
-        s = min(t, self.upper)
-        value = (s - self.lower) * (2.0 * s + self.lower) / 6.0
-        if t > self.upper:
-            value += (t * t - self.upper**2) / 2.0
-        return value
+    def _failure_closed(self, g, t, weighted):
+        w = min(t, self.upper) - self.lower
+        if weighted:
+            return w * (self.lower / (g + 1.0) + w / (g + 2.0))
+        return w / (g + 1.0)
 
 
 class Power(Distribution):
@@ -319,12 +292,10 @@ class Power(Distribution):
     def _quantile(self, u):
         return self.upper * u ** (1.0 / self.shape)
 
-    def _wmit_closed(self, t):
+    def _failure_closed(self, g, t, weighted):
         s = min(t, self.upper)
-        value = s * s / (self.shape + 2.0)
-        if t > self.upper:
-            value += (t * t - self.upper**2) / 2.0
-        return value
+        cg = self.shape * g
+        return s * s / (cg + 2.0) if weighted else s / (cg + 1.0)
 
 
 class Rayleigh(Distribution):
@@ -353,8 +324,12 @@ class Rayleigh(Distribution):
     def _isf(self, v):
         return np.sqrt(-np.log(v) / self.rate)
 
-    def _wmrl_closed(self, t):
-        return 1.0 / (2.0 * self.rate)
+    def _survival_closed(self, g, t, weighted):
+        lg = self.rate * g
+        if weighted:
+            return 1.0 / (2.0 * lg)
+        # erfcx keeps the normalization by sf(t)**g exact for large t
+        return math.sqrt(math.pi / (4.0 * lg)) * special.erfcx(t * math.sqrt(lg))
 
 
 class Weibull(Distribution):

@@ -20,8 +20,10 @@ reaches the static gwfe value at the top and stays there.
 
 Closed forms exist for the exponential, Pareto, uniform, rayleigh (survival
 side) and uniform, power (failure side) families; everything else goes
-through adaptive quadrature.  ``method`` selects between them, mainly so the
-two routes can be checked against each other.
+through adaptive quadrature.  Both routes live behind ``_quad``'s
+survival_integral / failure_integral; ``method`` ("auto", "closed" or
+"quadrature") selects between them, mainly so the two routes can be checked
+against each other.
 """
 
 from __future__ import annotations
@@ -30,22 +32,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
-from . import distributions as dist
-from ._quad import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    failure_power_integral,
-    survival_power_integral,
-)
-from .errors import DivergenceError, GwentropyError
+from ._quad import failure_integral, survival_integral
+from .errors import GwentropyError
 
 __all__ = [
     "EntropyOrder",
     "EntropyKind",
     "EntropyValue",
-    "QuadratureConfig",
     "gwse",
     "gwfe",
     "gse",
@@ -110,217 +103,69 @@ class EntropyValue:
         return self.value
 
 
-# ---------- closed forms for the power integrals ----------
-
-
-def _closed_survival(d, g: float, t: float, weighted: bool) -> float | None:
-    """Closed value of the survival power integral, or None."""
-    # sf is 1 at and below the support bottom, so clamping t there is exact
-    t = max(t, d.support[0])
-    if isinstance(d, dist.Exponential):
-        lg = d.rate * g
-        return (1.0 + t * lg) / lg**2 if weighted else 1.0 / lg
-    if isinstance(d, dist.Pareto):
-        s = max(t, d.scale)
-        ag = d.shape * g
-        return s * s / (ag - 2.0) if weighted else s / (ag - 1.0)
-    if isinstance(d, dist.Uniform):
-        w = d.upper - max(t, d.lower)
-        if weighted:
-            return w * (d.upper / (g + 1.0) - w / (g + 2.0))
-        return w / (g + 1.0)
-    if isinstance(d, dist.Rayleigh):
-        lg = d.rate * g
-        if weighted:
-            return 1.0 / (2.0 * lg)
-        # erfcx keeps the normalization by sf(t)**g exact for large t
-        return math.sqrt(math.pi / (4.0 * lg)) * special.erfcx(t * math.sqrt(lg))
-    return None
-
-
-def _closed_failure(d, g: float, t: float, weighted: bool) -> float | None:
-    """Closed value of the failure power integral, or None."""
-    if isinstance(d, dist.Uniform):
-        w = min(t, d.upper) - d.lower
-        if weighted:
-            return w * (d.lower / (g + 1.0) + w / (g + 2.0))
-        return w / (g + 1.0)
-    if isinstance(d, dist.Power):
-        s = min(t, d.upper)
-        cg = d.shape * g
-        return s * s / (cg + 2.0) if weighted else s / (cg + 1.0)
-    return None
-
-
-def _survival_integral(
-    d,
-    g: float,
-    t: float = 0.0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-    weighted: bool = True,
-) -> float:
-    """Integral of w(x) * (sf(x)/sf(t))**g from max(t, support bottom) up."""
-    if not float(d.sf(t)) > 0.0:
-        raise GwentropyError(f"survival is zero at t={t}")
-    d._check_tail(g, weighted=weighted)
-    if method not in ("auto", "closed", "quadrature"):
-        raise GwentropyError(f"unknown method {method!r}")
-    if method != "quadrature":
-        closed = _closed_survival(d, g, t, weighted)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise GwentropyError("no closed form for this family")
-    return survival_power_integral(d, g, t, cfg, weighted=weighted, from_support=True)
-
-
-def _failure_integral(
-    d,
-    g: float,
-    t: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-    weighted: bool = True,
-) -> float:
-    """Integral of w(x) * (cdf(x)/cdf(s))**g from the support bottom to s,
-    where s = min(t, support top), or s = support top when t is None."""
-    hi = d.support[1]
-    if t is None:
-        if math.isinf(hi):
-            raise DivergenceError(
-                "failure-side measure diverges on an infinite support"
-            )
-        s = hi
-    else:
-        s = min(float(t), hi)
-        if not float(d.cdf(s)) > 0.0:
-            raise GwentropyError(f"cdf is zero at t={t}")
-    if method not in ("auto", "closed", "quadrature"):
-        raise GwentropyError(f"unknown method {method!r}")
-    if method != "quadrature":
-        closed = _closed_failure(d, g, s, weighted)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise GwentropyError("no closed form for this family")
-    return failure_power_integral(d, g, s, cfg, weighted=weighted)
-
-
 # ---------- public measures ----------
 
 
-def gwse(
-    d,
-    order: EntropyOrder,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gwse(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
     """Weighted survival entropy of order (alpha, beta)."""
-    value = math.log(_survival_integral(d, order.gamma, 0.0, cfg, method)) / order.delta
+    value = math.log(survival_integral(d, order.gamma, 0.0, method)) / order.delta
     return EntropyValue(value, EntropyKind.GWSE, order)
 
 
-def gse(
-    d,
-    order: EntropyOrder,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gse(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
     """Unweighted survival entropy of order (alpha, beta)."""
-    value = (
-        math.log(_survival_integral(d, order.gamma, 0.0, cfg, method, weighted=False))
-        / order.delta
-    )
+    value = math.log(survival_integral(d, order.gamma, 0.0, method, weighted=False)) / order.delta
     return EntropyValue(value, EntropyKind.GSE, order)
 
 
-def gwfe(
-    d,
-    order: EntropyOrder,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gwfe(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
     """Weighted failure entropy; requires a finite support top."""
-    value = math.log(_failure_integral(d, order.gamma, None, cfg, method)) / order.delta
+    value = math.log(failure_integral(d, order.gamma, None, method)) / order.delta
     return EntropyValue(value, EntropyKind.GWFE, order)
 
 
-def gfe(
-    d,
-    order: EntropyOrder,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gfe(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
     """Unweighted failure entropy; requires a finite support top."""
-    value = (
-        math.log(_failure_integral(d, order.gamma, None, cfg, method, weighted=False))
-        / order.delta
-    )
+    value = math.log(failure_integral(d, order.gamma, None, method, weighted=False)) / order.delta
     return EntropyValue(value, EntropyKind.GFE, order)
 
 
-def gdwse(
-    d,
-    order: EntropyOrder,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gdwse(d, order: EntropyOrder, t: float, method: str = "auto") -> EntropyValue:
     """Dynamic weighted survival entropy of the residual life past t."""
     if t < 0.0:
         raise GwentropyError("t must be nonnegative")
-    value = math.log(_survival_integral(d, order.gamma, t, cfg, method)) / order.delta
+    value = math.log(survival_integral(d, order.gamma, t, method)) / order.delta
     return EntropyValue(value, EntropyKind.GDWSE, order, t=t)
 
 
-def gdwfe(
-    d,
-    order: EntropyOrder,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gdwfe(d, order: EntropyOrder, t: float, method: str = "auto") -> EntropyValue:
     """Dynamic weighted failure entropy of the inactivity time before t.
 
     Evaluated at min(t, support top): past the top it equals the static
     gwfe and stays constant.
     """
-    value = math.log(_failure_integral(d, order.gamma, t, cfg, method)) / order.delta
+    value = math.log(failure_integral(d, order.gamma, t, method)) / order.delta
     return EntropyValue(value, EntropyKind.GDWFE, order, t=t)
 
 
-def gwse_first_order_stat(
-    d,
-    order: EntropyOrder,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gwse_first_order_stat(d, order: EntropyOrder, n: int, method: str = "auto") -> EntropyValue:
     """Weighted survival entropy of the minimum of n iid copies.
 
     The minimum's survival function is sf**n, so the integrand exponent is
     n * gamma.
     """
     n = _checked_size(n)
-    value = math.log(_survival_integral(d, n * order.gamma, 0.0, cfg, method)) / order.delta
+    value = math.log(survival_integral(d, n * order.gamma, 0.0, method)) / order.delta
     return EntropyValue(value, EntropyKind.GWSE, order)
 
 
-def gdwfe_max_order_stat(
-    d,
-    order: EntropyOrder,
-    n: int,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> EntropyValue:
+def gdwfe_max_order_stat(d, order: EntropyOrder, n: int, t: float, method: str = "auto") -> EntropyValue:
     """Dynamic weighted failure entropy of the maximum of n iid copies.
 
     The maximum's cdf is cdf**n, so the integrand exponent is n * gamma.
     """
     n = _checked_size(n)
-    value = math.log(_failure_integral(d, n * order.gamma, t, cfg, method)) / order.delta
+    value = math.log(failure_integral(d, n * order.gamma, t, method)) / order.delta
     return EntropyValue(value, EntropyKind.GDWFE, order, t=t)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -156,14 +157,18 @@ def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, s
 
 
 def _gather_blocks(block_fn, static_args: tuple, n: int, reps: int, workers: int) -> np.ndarray:
-    """Run block_fn over [0, reps) split into ranges; order-independent."""
+    """Run block_fn over [0, reps) split into ranges; order-independent.
+
+    The pool never has more processes than ranges or CPUs.
+    """
     if workers <= 1:
         return block_fn(*static_args, n, 0, reps)
     chunk = max(250, -(-reps // (workers * 4)))
+    starts = range(0, reps, chunk)
     out = np.empty(reps, dtype=float)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
         futures = {}
-        for start in range(0, reps, chunk):
+        for start in starts:
             stop = min(start + chunk, reps)
             fut = pool.submit(block_fn, *static_args, n, start, stop)
             futures[fut] = (start, stop)

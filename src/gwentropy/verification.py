@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._quad import DEFAULT_QUADRATURE, QuadratureConfig
-from .entropy import EntropyOrder, _failure_integral, _survival_integral
+from ._quad import failure_integral, survival_integral
+from .entropy import EntropyOrder
 from .errors import GwentropyError
 
 __all__ = ["CellResult", "run_closed_form_suite"]
@@ -52,7 +52,6 @@ def run_closed_form_suite(
     draws: int = 20,
     seed: int = 20240,
     tol: float = 1e-8,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[CellResult]:
     """Run every closed-form cell; a cell passes when all draws agree.
 
@@ -65,10 +64,10 @@ def run_closed_form_suite(
     results = []
 
     def survival_quad(d, g, t=0.0):
-        return _survival_integral(d, g, t, cfg, "quadrature")
+        return survival_integral(d, g, t, "quadrature")
 
     def failure_quad(d, g, t=None):
-        return _failure_integral(d, g, t, cfg, "quadrature")
+        return failure_integral(d, g, t, "quadrature")
 
     def cell(name, one_draw):
         stream = zlib.crc32(name.encode("ascii"))
@@ -208,13 +207,13 @@ def run_closed_form_suite(
     def c_exp_wmrl0(rng):
         lam = rng.uniform(0.3, 3.0)
         d = dist.Exponential(lam)
-        return _rel(d.wmrl(0.0, cfg, method="quadrature"), 1.0 / lam**2)
+        return _rel(d.wmrl(0.0, method="quadrature"), 1.0 / lam**2)
 
     def c_exp_wmrl_t(rng):
         lam = rng.uniform(0.3, 3.0)
         t = rng.uniform(0.0, 2.0 / lam)
         d = dist.Exponential(lam)
-        return _rel(d.wmrl(t, cfg, method="quadrature"), (1.0 + t * lam) / lam**2)
+        return _rel(d.wmrl(t, method="quadrature"), (1.0 + t * lam) / lam**2)
 
     cell("gdwse/exponential", c_exp_dynamic)
     cell("wmrl/exponential-at-0", c_exp_wmrl0)

@@ -235,6 +235,8 @@ def test_usage_error_unknown_command():
         ["power", "--alt", "weibull(2)", "--n", "5", "--replications", "-3"],
         ["gof-test", "--data", "x.txt", "-B", "0"],
         ["verify", "--draws", "0"],
+        ["critical-table", "--n", "5", "--workers", "0"],
+        ["power", "--alt", "weibull(2)", "--n", "5", "--workers", "0"],
     ],
 )
 def test_usage_error_nonpositive_count(argv, capsys):

@@ -19,6 +19,7 @@ from gwentropy import (
     gwse,
     gwse_first_order_stat,
 )
+from gwentropy._quad import failure_integral, survival_integral
 from gwentropy.distributions import (
     Affine,
     Exponential,
@@ -167,21 +168,46 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("d,o", CASES, ids=lambda v: getattr(type(v), "__name__", str(v)))
-def test_survival_routes_agree(d, o):
-    a = float(gwse(d, o, method="quadrature"))
-    b = float(gwse(d, o, method="auto"))
+SURVIVAL_IDS = [
+    "Exponential-EntropyOrder0",
+    "Exponential-EntropyOrder1",
+    "Rayleigh-EntropyOrder",
+    "Uniform-EntropyOrder",
+    "Pareto-EntropyOrder",
+    "Weibull-EntropyOrder",
+    "Gamma-EntropyOrder",
+]
+FAILURE_CASES = [(Uniform(0.3, 1.8), ORD2), (Power(1.5, 2.4), ORD), (Power(0.7, 1.2), ORD2)]
+
+# Every case runs all four power integrals: weighted or not, static or
+# dynamic at the 0.3 quantile.  The weighted static one is gwse / gwfe and
+# keeps the case's plain id.
+FORMS = [("", True, None), ("-unweighted", False, None), ("-dynamic", True, 0.3), ("-unweighted-dynamic", False, 0.3)]
+
+
+def _route_params(cases, ids):
+    return [
+        pytest.param(d, o, weighted, q, id=name + suffix)
+        for (d, o), name in zip(cases, ids)
+        for suffix, weighted, q in FORMS
+    ]
+
+
+def _routes(integral, d, o, t, weighted):
+    return [math.log(integral(d, o.gamma, t, m, weighted)) / o.delta for m in ("quadrature", "auto")]
+
+
+@pytest.mark.parametrize("d,o,weighted,q", _route_params(CASES, SURVIVAL_IDS))
+def test_survival_routes_agree(d, o, weighted, q):
+    t = 0.0 if q is None else float(d.quantile(q))
+    a, b = _routes(survival_integral, d, o, t, weighted)
     assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "d,o",
-    [(Uniform(0.3, 1.8), ORD2), (Power(1.5, 2.4), ORD), (Power(0.7, 1.2), ORD2)],
-    ids=["uniform", "power-a", "power-b"],
-)
-def test_failure_routes_agree(d, o):
-    a = float(gwfe(d, o, method="quadrature"))
-    b = float(gwfe(d, o, method="auto"))
+@pytest.mark.parametrize("d,o,weighted,q", _route_params(FAILURE_CASES, ["uniform", "power-a", "power-b"]))
+def test_failure_routes_agree(d, o, weighted, q):
+    t = None if q is None else float(d.quantile(q))
+    a, b = _routes(failure_integral, d, o, t, weighted)
     assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
@@ -190,6 +216,12 @@ def test_closed_method_requires_closed_form():
         gwse(Gamma(2.0), ORD, method="closed")
     with pytest.raises(GwentropyError):
         gwse(Exponential(1.0), ORD, method="newton")
+    with pytest.raises(GwentropyError):
+        Gamma(2.0).wmrl(0.5, method="closed")
+    with pytest.raises(GwentropyError):
+        Exponential(1.0).wmrl(0.5, method="newton")
+    with pytest.raises(GwentropyError):
+        Power(1.8, 2.0).wmit(1.0, method="newton")
 
 
 def test_affine_shift_below_zero_start():
@@ -309,11 +341,9 @@ def test_rayleigh_gse_uses_scaled_erfcx():
     rate, t = 0.7, 0.9
     g = o.gamma
     expected = math.log(math.sqrt(math.pi / (4.0 * rate * g)) * special.erfcx(t * math.sqrt(rate * g)))
-    from gwentropy.entropy import _survival_integral
-
-    got = math.log(_survival_integral(Rayleigh(rate), g, t=t, weighted=False))
+    got = math.log(survival_integral(Rayleigh(rate), g, t=t, weighted=False))
     assert got == pytest.approx(expected, rel=1e-12)
-    quad = math.log(_survival_integral(Rayleigh(rate), g, t=t, weighted=False, method="quadrature"))
+    quad = math.log(survival_integral(Rayleigh(rate), g, t=t, weighted=False, method="quadrature"))
     assert got == pytest.approx(quad, rel=1e-9)
 
 

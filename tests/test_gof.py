@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -103,6 +104,37 @@ def test_critical_values_worker_invariant():
     c = small_table(workers=2)
     d = small_table(workers=8)
     assert a.rows == c.rows == d.rows
+
+
+@pytest.mark.parametrize("cpus,pool", [(64, 4), (2, 2)])
+def test_worker_pool_is_capped_by_ranges_and_cpus(monkeypatch, cpus, pool):
+    # B = 1000 splits into four ranges of 250; a huge --workers must not
+    # start a process per requested worker
+    from gwentropy import gof
+
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(gof, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(gof.os, "cpu_count", lambda: cpus)
+    cfg = TestConfig(replications=1000, seed=77)
+    wide = critical_values([5, 10], cfg=cfg, workers=10_000)
+    assert sizes == [pool, pool]
+    assert wide.rows == critical_values([5, 10], cfg=cfg, workers=1).rows
 
 
 def test_critical_values_monotone_in_level_and_n():
