@@ -11,9 +11,11 @@ method and picks the route: a family's own closed form
 (``Distribution._survival_closed`` / ``_failure_closed``) or quadrature.
 
 Finite supports are integrated directly in x.  Infinite supports are mapped
-through v = sf(x), which turns the tail into a finite interval
-(0, sf(lower)] with at worst an algebraic endpoint singularity, the case the
-QAGS extrapolation in scipy.integrate.quad is built for.
+through v = sf(x) by ``window_integral``, which turns the tail into a finite
+interval (0, sf(lower)] with at worst an algebraic endpoint singularity, the
+case the QAGS extrapolation in scipy.integrate.quad is built for.
+``window_integral`` is also the one integral behind the Shannon and log-sum
+bounds in ``checks``, on either side and for any support.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import DivergenceError, GwentropyError
 
-REL_TOL = 1e-10
-ABS_TOL = 1e-12
+REL_TOL = 1e-10  # the only stopping rule: an absolute floor would govern integrals near 0
 MAX_SUBDIVISIONS = 200
 
 _METHODS = ("auto", "closed", "quadrature")
@@ -36,7 +38,7 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive integral of f over [a, b] under the shared tolerances."""
     if not b > a:
         return 0.0
-    return quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)[0]
+    return quad(f, a, b, epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)[0]
 
 
 def _closed(method: str, closed_fn, *args) -> float | None:
@@ -64,26 +66,12 @@ def survival_integral(d, g: float, t: float = 0.0, method: str = "auto", weighte
     lo, hi = d.support
     log_sf_t = math.log(float(d.sf(t)))
     start = max(t, lo)
-
     if math.isinf(hi):
-        v_top = float(d.sf(start))
+        def integrand(x: float, v: float) -> float:
+            return (x if weighted else 1.0) * math.exp(g * (math.log(v) - log_sf_t)) / float(d.pdf(x))
 
-        def integrand(v: float) -> float:
-            x = float(d.isf(v))
-            ratio = math.exp(g * (math.log(v) - log_sf_t))
-            w = x if weighted else 1.0
-            return w * ratio / float(d.pdf(x))
-
-        return integrate(integrand, 0.0, v_top)
-
-    def integrand_x(x: float) -> float:
-        s = float(d.sf(x))
-        if s <= 0.0:
-            return 0.0
-        ratio = math.exp(g * (math.log(s) - log_sf_t))
-        return (x if weighted else 1.0) * ratio
-
-    return integrate(integrand_x, start, hi)
+        return window_integral(d, "survival", float(d.sf(start)), integrand)
+    return _x_power_integral(d.sf, log_sf_t, g, weighted, start, hi)
 
 
 def failure_integral(d, g: float, t: float | None = None, method: str = "auto", weighted: bool = True) -> float:
@@ -102,13 +90,27 @@ def failure_integral(d, g: float, t: float | None = None, method: str = "auto", 
     if closed is not None:
         return closed
 
-    log_cdf_s = math.log(float(d.cdf(s)))
+    return _x_power_integral(d.cdf, math.log(float(d.cdf(s))), g, weighted, lo, s)
 
-    def integrand_x(x: float) -> float:
-        c = float(d.cdf(x))
+
+def window_integral(d, side: str, w: float, fn: Callable[[float, float], float]) -> float:
+    """Integral of fn(x(v), v) over v in (0, w], with x(v) the unchecked inverse:
+    isf on the survival side, quantile on the failure side.
+
+    With w = sf(t) (or cdf(t)) this is the integral of fn(x, F(x)) * pdf(x)
+    over the window X > t (or X <= t), whatever the support.
+    """
+    inverse = d._isf if side == "survival" else d._quantile
+    return integrate(lambda v: fn(float(inverse(np.asarray(v))), v), 0.0, w)
+
+
+def _x_power_integral(fn, log_fn_t: float, g: float, weighted: bool, a: float, b: float) -> float:
+    """Integral of w(x) * (fn(x) / fn(t))**g over the finite [a, b], fn = sf or cdf."""
+
+    def integrand(x: float) -> float:
+        c = float(fn(x))
         if c <= 0.0:
             return 0.0
-        ratio = math.exp(g * (math.log(c) - log_cdf_s))
-        return (x if weighted else 1.0) * ratio
+        return (x if weighted else 1.0) * math.exp(g * (math.log(c) - log_fn_t))
 
-    return integrate(integrand_x, lo, s)
+    return integrate(integrand, a, b)

@@ -8,8 +8,12 @@ measure g(t) = gdwse(X; t) and its failure mirror:
                             a**2 * exp(delta * gwse(X)) + a * b * exp(delta * gse(X))
 
 plus a family of upper and lower bounds relating the measures to weighted
-residual moments and to Shannon entropy.  Checks report residuals and
-margins; they do not assert.
+residual moments and to Shannon entropy.  Every integral comes from
+``_quad``: the measures and wmrl / wmit through the power integrals, the
+Shannon and log-sum right-hand sides through ``window_integral`` over the
+conditioning window X > t or X <= t in probability space, so infinite
+supports need no truncation.  Checks report residuals and margins; they do
+not assert.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import distributions as dist
-from ._quad import failure_integral, integrate, survival_integral
+from ._quad import failure_integral, survival_integral, window_integral
 from .entropy import EntropyOrder, gdwfe, gdwse, gwfe, gwse
 from .errors import DivergenceError, GwentropyError
 
@@ -294,55 +298,38 @@ def _lower(name: str, lhs: float, rhs: float) -> BoundResult:
     return BoundResult(name, lhs, rhs, lhs - rhs, True)
 
 
-_TAIL_QUANTILE = 1e-12  # upper-tail mass dropped where an x-integral meets an infinite support
-
-
-def _x_cap(d) -> float:
-    hi = d.support[1]
-    return hi if math.isfinite(hi) else float(d.isf(_TAIL_QUANTILE))
+def _window(d, t: float, side: str) -> float:
+    """Probability of the conditioning window: sf(t) for X > t, cdf(t) for X <= t."""
+    return float(d.sf(t) if side == "survival" else d.cdf(t))
 
 
 def _shannon_rhs(d, t: float, side: str) -> float:
     """H + E[log X] of X | X > t (side 'survival'; t = 0 gives H(X) + E[log X])
     or of X | X <= t ('failure'), both over the same conditioning window."""
-    if side == "survival":
-        w, a, b = float(d.sf(t)), max(t, d.support[0]), _x_cap(d)
-    else:
-        w, a, b = float(d.cdf(t)), d.support[0], min(t, d.support[1])
+    w = _window(d, t, side)
 
-    def entropy(x: float) -> float:
-        fx = float(d.pdf(x)) / w
-        return -fx * math.log(fx) if fx > 0.0 else 0.0
-
-    def log_moment(x: float) -> float:
+    def integrand(x: float, v: float) -> float:
         fx = float(d.pdf(x))
-        return fx * math.log(x) / w if fx > 0.0 and x > 0.0 else 0.0
+        return (math.log(x) - math.log(fx / w)) / w if x > 0.0 and fx > 0.0 else 0.0
 
-    return integrate(entropy, a, b) + integrate(log_moment, a, b)
+    return window_integral(d, side, w, integrand)
 
 
-def _logsum_rhs(d, order: EntropyOrder, t: float, side: str) -> float:
-    """Interval log-sum bound on the dynamic measure at t for one side."""
-    g = order.gamma
-    if side == "survival":
-        fn, a, b = d.sf, t, d.support[1]
-    else:
-        fn, a, b = d.cdf, d.support[0], t
-    log_fn_t = math.log(float(fn(t)))
+def _logsum_rhs(d, order: EntropyOrder, t: float, side: str, value: float) -> float:
+    """Interval log-sum bound on the dynamic measure at t for one side, given
+    that measure's value: with h(x) = x * (F(x)/F(t))**gamma over the window,
+    F = sf or cdf, it is the h-weighted mean of log h over delta, plus the log
+    of the window's length over delta."""
+    w = _window(d, t, side)
+    log_w = math.log(w)
+    length = d.support[1] - t if side == "survival" else t - d.support[0]
 
-    def h(x: float) -> float:
-        s = float(fn(x))
-        if s <= 0.0 or x <= 0.0:
-            return 0.0
-        return x * math.exp(g * (math.log(s) - log_fn_t))
+    def h_log_h(x: float, v: float) -> float:
+        h = x * math.exp(order.gamma * (math.log(v) - log_w))
+        return h * math.log(h) / float(d.pdf(x)) if h > 0.0 else 0.0
 
-    def h_log_h(x: float) -> float:
-        v = h(x)
-        return v * math.log(v) if v > 0.0 else 0.0
-
-    total = integrate(h, a, b)
-    weighted = integrate(h_log_h, a, b)
-    return weighted / (order.delta * total) + math.log(b - a) / order.delta
+    total = math.exp(order.delta * value)
+    return window_integral(d, side, w, h_log_h) / (order.delta * total) + math.log(length) / order.delta
 
 
 def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
@@ -429,7 +416,7 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
             results.append(_skip("interval-logsum-upper-survival", "requires t inside the support"))
         else:
             results.append(
-                _upper("interval-logsum-upper-survival", dvalue, _logsum_rhs(d, order, t, "survival"))
+                _upper("interval-logsum-upper-survival", dvalue, _logsum_rhs(d, order, t, "survival", dvalue))
             )
 
     if cdf_t <= 0.0:
@@ -447,7 +434,7 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
             results.append(_skip("interval-logsum-upper-failure", "requires t inside the support"))
         else:
             results.append(
-                _upper("interval-logsum-upper-failure", fdyn, _logsum_rhs(d, order, t, "failure"))
+                _upper("interval-logsum-upper-failure", fdyn, _logsum_rhs(d, order, t, "failure", fdyn))
             )
 
     return BoundReport(order, t, tuple(results))

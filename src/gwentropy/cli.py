@@ -124,14 +124,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("GWENTROPY_SEED", "")
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
-
-
 def _read_values(path: str, column: str | None) -> list[float]:
     if path == "-":
         text = sys.stdin.read()
@@ -367,7 +359,11 @@ def _add_order_args(p: argparse.ArgumentParser) -> None:
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replications", "-B", type=_positive_int, default=10000, help="Monte-Carlo replications")
-    p.add_argument("--seed", type=int, default=_default_seed(), help="simulation seed (default: GWENTROPY_SEED or 0)")
+    # argparse parses a string default through type, so a malformed GWENTROPY_SEED is a usage error
+    p.add_argument(
+        "--seed", type=int, default=os.environ.get("GWENTROPY_SEED") or "0",
+        help="simulation seed (default: GWENTROPY_SEED or 0)",
+    )
     p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
 
 

@@ -83,30 +83,25 @@ def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:
     return Sample(d.sample_values(n, sampler.generator()))
 
 
-def _half_gap_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    sq = values * values
-    return float(((sq[1:] - sq[:-1]) / 2.0 * weights).sum())
-
-
 def _survival_weights(n: int, gamma: float) -> np.ndarray:
     """Weight (1 - i/n) ** gamma of gap i = 1 .. n-1 on the survival side."""
     i = np.arange(1, n)
     return (1.0 - i / n) ** gamma
 
 
-def _log_survival_sum(x: np.ndarray, weights: np.ndarray, include_head: bool) -> float:
-    """Log of the survival gap sum over sorted x, plus x_(1)**2 / 2 if include_head.
+def _log_gap_sum(x: np.ndarray, weights: np.ndarray, include_head: bool) -> float:
+    """Log of the weighted half-gap sum over sorted x, sum of weights[i] *
+    (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2 if include_head.
 
-    The one kernel behind empirical_gwse, gof.statistic and the replication
-    engine; math.log, not np.log, keeps the simulated tables' bits.
+    The one kernel behind empirical_gwse, empirical_gwfe, gof.statistic and
+    the replication engine; math.log, not np.log, keeps the simulated tables' bits.
     """
-    total = _half_gap_sum(x, weights)
+    sq = x * x
+    total = float(((sq[1:] - sq[:-1]) / 2.0 * weights).sum())
     if include_head:
         total += float(x[0] * x[0]) / 2.0
     if not total > 0.0:
-        raise DegenerateSampleError(
-            "empirical survival integral is zero; sample carries no spread"
-        )
+        raise DegenerateSampleError("empirical integral is zero; sample carries no spread")
     return math.log(total)
 
 
@@ -124,7 +119,7 @@ def empirical_gwse(
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
     weights = _survival_weights(s.n, order.gamma)
-    return _log_survival_sum(s.values, weights, variant is EstimatorVariant.FULL_STEP) / order.delta
+    return _log_gap_sum(s.values, weights, variant is EstimatorVariant.FULL_STEP) / order.delta
 
 
 def empirical_gwfe(
@@ -140,11 +135,5 @@ def empirical_gwfe(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    n = s.n
-    i = np.arange(1, n)
-    total = _half_gap_sum(s.values, (i / n) ** order.gamma)
-    if not total > 0.0:
-        raise DegenerateSampleError(
-            "empirical failure integral is zero; sample carries no spread"
-        )
-    return float(np.log(total)) / order.delta
+    i = np.arange(1, s.n)
+    return _log_gap_sum(s.values, (i / s.n) ** order.gamma, False) / order.delta

@@ -16,7 +16,7 @@ Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
 (n << 32) | r), so results are bit-identical regardless of how the work is
 split across worker processes.  statistic, empirical_gwse and the engine
-share one estimator kernel, empirical._log_survival_sum.
+share one estimator kernel, empirical._log_gap_sum.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, Exponential, SeededSampler
-from .empirical import EstimatorVariant, Sample, _log_survival_sum, _survival_weights
+from .empirical import EstimatorVariant, Sample, _log_gap_sum, _survival_weights
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -112,7 +112,7 @@ class PowerResult:
 def _t_parts(x: np.ndarray, mean: float, weights: np.ndarray, gamma: float, delta: float,
              include_head: bool) -> tuple[float, float, float]:
     """Estimate, plug-in -2 * log(gamma / mean) / delta and T for sorted values x."""
-    estimate = _log_survival_sum(x, weights, include_head) / delta
+    estimate = _log_gap_sum(x, weights, include_head) / delta
     plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
     return estimate, plug_in, math.exp(-abs(estimate - plug_in))
 

@@ -1,12 +1,13 @@
 """Dual-route verification of the closed forms against quadrature.
 
 Each cell draws random parameters for one (family, transform, measure)
-combination, evaluates the underlying power integral once through the
-closed expression and once through adaptive quadrature, and records the
-worst relative disagreement.  Transformed variables (power of the survival
-or failure function, scalar multiples) are evaluated through the wrapper
-distributions on the quadrature side and through parameter reduction on
-the closed side, so the two routes share no code path.
+combination, evaluates the underlying power integral once by adaptive
+quadrature (``method="quadrature"``) and once through the family's own
+closed form (``method="closed"``), the one users get, and records the worst
+relative disagreement.  Transformed variables (power of the survival or
+failure function, scalar multiples) are integrated through the wrapper
+distributions on the quadrature side and reach their family by an exact
+parameter reduction on the closed side, so no formula is written here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dist
+from .distributions import (
+    Affine, Exponential as Exp, Pareto as Par, Power as Pow, ProportionalHazards as PH,
+    ProportionalReverseHazards as PRH, Rayleigh, SeededSampler, Uniform as Uni,
+)
 from ._quad import failure_integral, survival_integral
 from .entropy import EntropyOrder
 from .errors import GwentropyError
@@ -44,8 +48,68 @@ def _draw_order(rng: np.random.Generator) -> EntropyOrder:
     return EntropyOrder((gamma + 1.0 - delta) / 2.0, (gamma + 1.0 + delta) / 2.0)
 
 
-def _rel(err_a: float, err_b: float) -> float:
-    return abs(err_a - err_b) / abs(err_b)
+# parameter draws; tuple elements evaluate left to right, which fixes the draw order
+
+
+def _exp_draw(rng):
+    return rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.5), _draw_order(rng).gamma
+
+
+def _exp_t_draw(rng):
+    lam, _, g = _exp_draw(rng)
+    return lam, g, rng.uniform(0.0, 2.0 / lam)
+
+
+def _rate_t_draw(rng):
+    lam = rng.uniform(0.3, 3.0)
+    return lam, rng.uniform(0.0, 2.0 / lam)
+
+
+def _pareto_draw(rng):
+    g = _draw_order(rng).gamma
+    th = rng.uniform(0.5, 2.5)
+    return 2.3 / (g * min(th, 1.0)) + rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0), th, g
+
+
+def _unif_draw(rng):
+    return rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.5), _draw_order(rng).gamma
+
+
+def _power_draw(rng):
+    return rng.uniform(0.4, 3.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.5), _draw_order(rng).gamma
+
+
+# name -> (draw, params -> (side, distribution by quadrature, family by closed form, g, t));
+# a wrapper reaches its family by an exact reduction of the parameters
+_S, _F, _W = "survival", "failure", "wmrl"
+_CELLS = {
+    "gwse/exponential": (_exp_draw, lambda lam, th, g: (_S, Exp(lam), Exp(lam), g, 0.0)),
+    "gwse/exponential-sf-power": (_exp_draw, lambda lam, th, g: (_S, PH(Exp(lam), th), Exp(lam * th), g, 0.0)),
+    "gwse/exponential-scaled": (_exp_draw, lambda lam, th, g: (_S, Affine(Exp(lam), th), Exp(lam / th), g, 0.0)),
+    "gwse/pareto": (_pareto_draw, lambda a, b, th, g: (_S, Par(a, b), Par(a, b), g, 0.0)),
+    "gwse/pareto-sf-power": (_pareto_draw, lambda a, b, th, g: (_S, PH(Par(a, b), th), Par(a * th, b), g, 0.0)),
+    "gwse/pareto-scaled": (_pareto_draw, lambda a, b, th, g: (_S, Affine(Par(a, b), th), Par(a, th * b), g, 0.0)),
+    "gwse/rayleigh": (
+        lambda rng: (rng.uniform(0.3, 3.0), _draw_order(rng).gamma),
+        lambda lam, g: (_S, Rayleigh(lam), Rayleigh(lam), g, 0.0),
+    ),
+    "gwfe/uniform": (_unif_draw, lambda a, th, g: (_F, Uni(0.0, a), Uni(0.0, a), g, None)),
+    "gwfe/uniform-cdf-power": (_unif_draw, lambda a, th, g: (_F, PRH(Uni(0.0, a), th), Pow(th, a), g, None)),
+    "gwfe/uniform-scaled": (_unif_draw, lambda a, th, g: (_F, Affine(Uni(0.0, a), th), Uni(0.0, th * a), g, None)),
+    "gwfe/power": (_power_draw, lambda c, b, th, g: (_F, Pow(c, b), Pow(c, b), g, None)),
+    "gwfe/power-cdf-power": (_power_draw, lambda c, b, th, g: (_F, PRH(Pow(c, b), th), Pow(c * th, b), g, None)),
+    "gwfe/power-scaled": (_power_draw, lambda c, b, th, g: (_F, Affine(Pow(c, b), th), Pow(c, th * b), g, None)),
+    "gdwse/exponential": (_exp_t_draw, lambda lam, g, t: (_S, Exp(lam), Exp(lam), g, t)),
+    "wmrl/exponential-at-0": (lambda rng: (rng.uniform(0.3, 3.0),), lambda lam: (_W, Exp(lam), Exp(lam), 1.0, 0.0)),
+    "wmrl/exponential-at-t": (_rate_t_draw, lambda lam, t: (_W, Exp(lam), Exp(lam), 1.0, t)),
+}
+
+
+def _integral(side: str, d, g: float, t: float | None, method: str) -> float:
+    if side == _W:
+        return d.wmrl(t, method=method)
+    integral = survival_integral if side == _S else failure_integral
+    return integral(d, g, t, method)
 
 
 def run_closed_form_suite(
@@ -62,161 +126,13 @@ def run_closed_form_suite(
     if draws < 1:
         raise GwentropyError("draws must be at least 1")
     results = []
-
-    def survival_quad(d, g, t=0.0):
-        return survival_integral(d, g, t, "quadrature")
-
-    def failure_quad(d, g, t=None):
-        return failure_integral(d, g, t, "quadrature")
-
-    def cell(name, one_draw):
-        stream = zlib.crc32(name.encode("ascii"))
-        rng = dist.SeededSampler(seed, stream).generator()
+    for name, (draw, case) in _CELLS.items():
+        rng = SeededSampler(seed, zlib.crc32(name.encode("ascii"))).generator()
         worst = 0.0
         for _ in range(draws):
-            worst = max(worst, one_draw(rng))
+            side, quad_d, closed_d, g, t = case(*draw(rng))
+            quad = _integral(side, quad_d, g, t, "quadrature")
+            closed = _integral(side, closed_d, g, t, "closed")
+            worst = max(worst, abs(quad - closed) / abs(closed))
         results.append(CellResult(name=name, draws=draws, max_rel_err=worst, tol=tol))
-
-    # ---- weighted survival measure: exponential ----
-
-    def exp_params(rng):
-        return rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.5), _draw_order(rng)
-
-    def c_exp_base(rng):
-        lam, _, order = exp_params(rng)
-        g = order.gamma
-        return _rel(survival_quad(dist.Exponential(lam), g), 1.0 / (lam * g) ** 2)
-
-    def c_exp_sf_power(rng):
-        lam, th, order = exp_params(rng)
-        g = order.gamma
-        d = dist.ProportionalHazards(dist.Exponential(lam), th)
-        return _rel(survival_quad(d, g), 1.0 / (lam * th * g) ** 2)
-
-    def c_exp_scaled(rng):
-        lam, th, order = exp_params(rng)
-        g = order.gamma
-        d = dist.Affine(dist.Exponential(lam), th)
-        return _rel(survival_quad(d, g), th**2 / (lam * g) ** 2)
-
-    cell("gwse/exponential", c_exp_base)
-    cell("gwse/exponential-sf-power", c_exp_sf_power)
-    cell("gwse/exponential-scaled", c_exp_scaled)
-
-    # ---- weighted survival measure: pareto ----
-
-    def pareto_params(rng):
-        order = _draw_order(rng)
-        th = rng.uniform(0.5, 2.5)
-        g = order.gamma
-        shape = (2.3 / (g * min(th, 1.0))) + rng.uniform(0.0, 2.0)
-        scale = rng.uniform(0.5, 2.0)
-        return shape, scale, th, order
-
-    def c_pareto_base(rng):
-        a, b, _, order = pareto_params(rng)
-        g = order.gamma
-        return _rel(survival_quad(dist.Pareto(a, b), g), b * b / (a * g - 2.0))
-
-    def c_pareto_sf_power(rng):
-        a, b, th, order = pareto_params(rng)
-        g = order.gamma
-        d = dist.ProportionalHazards(dist.Pareto(a, b), th)
-        return _rel(survival_quad(d, g), b * b / (a * th * g - 2.0))
-
-    def c_pareto_scaled(rng):
-        a, b, th, order = pareto_params(rng)
-        g = order.gamma
-        d = dist.Affine(dist.Pareto(a, b), th)
-        return _rel(survival_quad(d, g), (th * b) ** 2 / (a * g - 2.0))
-
-    cell("gwse/pareto", c_pareto_base)
-    cell("gwse/pareto-sf-power", c_pareto_sf_power)
-    cell("gwse/pareto-scaled", c_pareto_scaled)
-
-    # ---- weighted survival measure: rayleigh ----
-
-    def c_rayleigh(rng):
-        lam = rng.uniform(0.3, 3.0)
-        order = _draw_order(rng)
-        g = order.gamma
-        return _rel(survival_quad(dist.Rayleigh(lam), g), 1.0 / (2.0 * lam * g))
-
-    cell("gwse/rayleigh", c_rayleigh)
-
-    # ---- weighted failure measure: uniform on [0, a] ----
-
-    def unif_params(rng):
-        return rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.5), _draw_order(rng)
-
-    def c_unif_base(rng):
-        a, _, order = unif_params(rng)
-        g = order.gamma
-        return _rel(failure_quad(dist.Uniform(0.0, a), g), a * a / (g + 2.0))
-
-    def c_unif_cdf_power(rng):
-        a, th, order = unif_params(rng)
-        g = order.gamma
-        d = dist.ProportionalReverseHazards(dist.Uniform(0.0, a), th)
-        return _rel(failure_quad(d, g), a * a / (th * g + 2.0))
-
-    def c_unif_scaled(rng):
-        a, th, order = unif_params(rng)
-        g = order.gamma
-        d = dist.Affine(dist.Uniform(0.0, a), th)
-        return _rel(failure_quad(d, g), (th * a) ** 2 / (g + 2.0))
-
-    cell("gwfe/uniform", c_unif_base)
-    cell("gwfe/uniform-cdf-power", c_unif_cdf_power)
-    cell("gwfe/uniform-scaled", c_unif_scaled)
-
-    # ---- weighted failure measure: power function ----
-
-    def power_params(rng):
-        return rng.uniform(0.4, 3.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.5), _draw_order(rng)
-
-    def c_power_base(rng):
-        c, b, _, order = power_params(rng)
-        g = order.gamma
-        return _rel(failure_quad(dist.Power(c, b), g), b * b / (c * g + 2.0))
-
-    def c_power_cdf_power(rng):
-        c, b, th, order = power_params(rng)
-        g = order.gamma
-        d = dist.ProportionalReverseHazards(dist.Power(c, b), th)
-        return _rel(failure_quad(d, g), b * b / (c * th * g + 2.0))
-
-    def c_power_scaled(rng):
-        c, b, th, order = power_params(rng)
-        g = order.gamma
-        d = dist.Affine(dist.Power(c, b), th)
-        return _rel(failure_quad(d, g), (th * b) ** 2 / (c * g + 2.0))
-
-    cell("gwfe/power", c_power_base)
-    cell("gwfe/power-cdf-power", c_power_cdf_power)
-    cell("gwfe/power-scaled", c_power_scaled)
-
-    # ---- dynamic measure and residual moments: exponential ----
-
-    def c_exp_dynamic(rng):
-        lam, _, order = exp_params(rng)
-        g = order.gamma
-        t = rng.uniform(0.0, 2.0 / lam)
-        return _rel(survival_quad(dist.Exponential(lam), g, t), (1.0 + t * lam * g) / (lam * g) ** 2)
-
-    def c_exp_wmrl0(rng):
-        lam = rng.uniform(0.3, 3.0)
-        d = dist.Exponential(lam)
-        return _rel(d.wmrl(0.0, method="quadrature"), 1.0 / lam**2)
-
-    def c_exp_wmrl_t(rng):
-        lam = rng.uniform(0.3, 3.0)
-        t = rng.uniform(0.0, 2.0 / lam)
-        d = dist.Exponential(lam)
-        return _rel(d.wmrl(t, method="quadrature"), (1.0 + t * lam) / lam**2)
-
-    cell("gdwse/exponential", c_exp_dynamic)
-    cell("wmrl/exponential-at-0", c_exp_wmrl0)
-    cell("wmrl/exponential-at-t", c_exp_wmrl_t)
-
     return results

@@ -275,3 +275,16 @@ def test_bound_report_failures_empty_on_valid_cases():
     for d in (Exponential(0.7), Rayleigh(0.9), Weibull(1.4), Uniform(0.1, 2.3)):
         rep = bound_check(d, ORD_BIG, t=0.5)
         assert rep.failures() == []
+
+
+def _bound(rep, name):
+    return next(r for r in rep.results if r.name == name)
+
+
+def test_shannon_rhs_matches_exact_values():
+    # X | X > 2 is Pareto(5, 2): entropy log(2/5) + 1 + 1/5, E[log X] = log 2 + 1/5
+    dyn = _bound(bound_check(Pareto(5.0, 1.0), ORD, t=2.0), "shannon-lower-survival-dynamic")
+    assert dyn.rhs == pytest.approx(math.log(0.8) + 1.4, rel=0.0, abs=1e-12)
+    # Exponential(1): entropy 1, E[log X] = -Euler's gamma
+    static = _bound(bound_check(Exponential(1.0), ORD), "shannon-lower-survival")
+    assert static.rhs == pytest.approx(1.0 - np.euler_gamma, rel=0.0, abs=1e-12)

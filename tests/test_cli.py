@@ -306,6 +306,19 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 44
 
 
+def test_seed_env_variable_malformed_is_usage_error(capsys, monkeypatch):
+    argv = ["critical-table", "--n", "5", "--levels", "0.05", "--replications", "100"]
+    for raw in ("abc", "0x10"):
+        monkeypatch.setenv("GWENTROPY_SEED", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    # an explicit flag still wins over the malformed variable
+    code, out, _ = run_cli(capsys, *argv, "--seed", "44")
+    assert code == 0
+    assert json.loads(out)["seed"] == 44
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gwentropy", "entropy", "--dist", "exp(1)"],

@@ -211,6 +211,16 @@ def test_failure_routes_agree(d, o, weighted, q):
     assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
+def test_quadrature_meets_rel_tol_on_tiny_integrals():
+    # the integral is about 5e-11, far below any absolute floor; only the
+    # relative tolerance can make quadrature meet the closed form here
+    d = Power(0.2, 1.0)
+    for weighted in (True, False):
+        quad = failure_integral(d, 0.51, 1e-5, "quadrature", weighted)
+        closed = failure_integral(d, 0.51, 1e-5, "closed", weighted)
+        assert quad == pytest.approx(closed, rel=1e-10, abs=0.0)
+
+
 def test_closed_method_requires_closed_form():
     with pytest.raises(GwentropyError):
         gwse(Gamma(2.0), ORD, method="closed")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from gwentropy.cli import main
+from gwentropy.distributions import Pareto
 from gwentropy.verification import CellResult, run_closed_form_suite
 
 
@@ -34,3 +36,14 @@ def test_suite_covers_every_measure_kind():
 def test_suite_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_closed_form_suite(draws=0)
+
+
+def test_suite_checks_the_families_own_closed_forms(monkeypatch, capsys):
+    # a 1% error in Pareto's closed form must fail exactly the Pareto cells
+    closed = Pareto._survival_closed
+    monkeypatch.setattr(Pareto, "_survival_closed", lambda self, g, t, w: 1.01 * closed(self, g, t, w))
+    cells = run_closed_form_suite(draws=3, seed=20240)
+    bad = [c.name for c in cells if not c.ok]
+    assert bad == ["gwse/pareto", "gwse/pareto-sf-power", "gwse/pareto-scaled"]
+    assert main(["verify", "--draws", "3"]) == 1
+    assert "FAIL  gwse/pareto " in capsys.readouterr().out
