@@ -367,6 +367,9 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
 
 
+_WORKERS_HELP = "ignored, kept for existing scripts: the batched replication engine runs in one process"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwentropy",
@@ -415,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-table", help="simulate a critical-value table")
     p.add_argument("--n", type=_n_values_arg, required=True, help="sample sizes, e.g. '4:30,35:50:5'")
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS, help="comma-separated levels (default 0.01,0.05,0.10)")
-    p.add_argument("--workers", type=_positive_int, default=1, help="worker processes (result is worker-count independent)")
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     _add_order_args(p)
     _add_sim_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -427,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_n_values_arg, required=True)
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS)
     p.add_argument("--table", help="use critical values from this JSON table")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     _add_order_args(p)
     _add_sim_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -135,6 +135,13 @@ class Distribution:
         """
         return np.asarray(self._quantile(rng.random(n)), dtype=float)
 
+    def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
+        """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()):
+        one Philox block for inversion, stream by stream for a sampler of its own."""
+        if type(self).sample_values is not Distribution.sample_values:
+            return np.stack([self.sample_values(n, rng) for rng in _stream_generators(seed, streams)])
+        return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
+
 
 # ---------- families ----------
 
@@ -424,6 +431,9 @@ class Affine(Distribution):
     def sample_values(self, n, rng):
         return self.scale * self.base.sample_values(n, rng) + self.shift
 
+    def _sample_streams(self, seed, streams, n):
+        return self.scale * self.base._sample_streams(seed, streams, n) + self.shift
+
     def pdf(self, x):
         return self.base.pdf(self._pullback(x)) / self.scale
 
@@ -520,6 +530,57 @@ class SeededSampler:
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_generators(seed: int, streams: np.ndarray):
+    """SeededSampler(seed, s).generator() for each s in turn, as one reused Generator.
+
+    Each stream restarts the one Philox in the state a new one starts in
+    (counter 0, empty buffer), without the cost of building one.  Consume
+    each generator before taking the next.
+    """
+    rng = SeededSampler(seed).generator()
+    start = rng.bit_generator.state
+    for stream in streams.tolist():
+        start["state"]["key"][1] = stream
+        rng.bit_generator.state = start
+        yield rng
+
+
+# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and word order
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product a * b, from 32-bit halves."""
+    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b_lo, b_hi = b & _LO32, b >> _S32
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> _S32)  # no partial sum here exceeds 2**64 - 1
+    low_mid = a_lo * b_hi + (mid & _LO32)
+    return a_hi * b_hi + (mid >> _S32) + (low_mid >> _S32), np.uint64(a) * b
+
+
+def _philox_uniforms(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
+    """Row i is SeededSampler(seed, streams[i]).generator().random(n), bit for bit.
+
+    numpy's Philox emits, for counters 1, 2, ..., the four words of each
+    ten-round block in order, and random() maps a word w to (w >> 11) * 2**-53.
+    """
+    rows, blocks = streams.size, -(-n // 4)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (rows, 1))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = seed & 0xFFFFFFFFFFFFFFFF, streams.astype(np.uint64).reshape(rows, 1)
+    for i in range(10):
+        if i:  # Weyl key bump; uint64 arrays wrap, Python ints are masked
+            k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF, k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :n]
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -89,17 +89,23 @@ def _survival_weights(n: int, gamma: float) -> np.ndarray:
     return (1.0 - i / n) ** gamma
 
 
-def _log_gap_sum(x: np.ndarray, weights: np.ndarray, include_head: bool) -> float:
-    """Log of the weighted half-gap sum over sorted x, sum of weights[i] *
-    (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2 if include_head.
+def _gap_sums(x: np.ndarray, weights: np.ndarray, include_head: bool) -> np.ndarray:
+    """Weighted half-gap sums along the last axis of sorted x: the sum of
+    weights[i] * (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2 if include_head.
 
     The one kernel behind empirical_gwse, empirical_gwfe, gof.statistic and
-    the replication engine; math.log, not np.log, keeps the simulated tables' bits.
+    the replication engine, which passes one sorted sample per row; a row's
+    sum has the bits of the same sample reduced on its own.
     """
     sq = x * x
-    total = float(((sq[1:] - sq[:-1]) / 2.0 * weights).sum())
+    total = ((sq[..., 1:] - sq[..., :-1]) / 2.0 * weights).sum(axis=-1)
     if include_head:
-        total += float(x[0] * x[0]) / 2.0
+        total = total + x[..., 0] * x[..., 0] / 2.0
+    return total
+
+
+def _log_gap_sum(total: float) -> float:
+    """Log of one gap sum; math.log, not np.log, keeps the simulated tables' bits."""
     if not total > 0.0:
         raise DegenerateSampleError("empirical integral is zero; sample carries no spread")
     return math.log(total)
@@ -119,7 +125,7 @@ def empirical_gwse(
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
     weights = _survival_weights(s.n, order.gamma)
-    return _log_gap_sum(s.values, weights, variant is EstimatorVariant.FULL_STEP) / order.delta
+    return _log_gap_sum(_gap_sums(s.values, weights, variant is EstimatorVariant.FULL_STEP)) / order.delta
 
 
 def empirical_gwfe(
@@ -136,4 +142,4 @@ def empirical_gwfe(
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
     i = np.arange(1, s.n)
-    return _log_gap_sum(s.values, (i / s.n) ** order.gamma, False) / order.delta
+    return _log_gap_sum(_gap_sums(s.values, (i / s.n) ** order.gamma, False)) / order.delta

@@ -14,23 +14,28 @@ values depend only on (order, n) and are simulated at unit rate.
 One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
-(n << 32) | r), so results are bit-identical regardless of how the work is
-split across worker processes.  statistic, empirical_gwse and the engine
-share one estimator kernel, empirical._log_gap_sum.
+(n << 32) | r).  _replicate takes the replications in blocks of about
+16 384 values (rows x n), which bounds its memory at any n and B, and draws
+each row with the bits of its stream sampled on its own: inversion families
+(and the PH, PRH and Affine wrappers over them) from one array Philox block
+put through _quantile, Gamma's rejection sampler (and Affine over it) one
+stream at a time from one reused Philox.  A block is sorted and reduced
+row-wise by the kernel shared with statistic and the empirical estimators,
+empirical._gap_sums, and statistic's scalar tail finishes each row's T.
+The engine runs in the calling process; the workers argument of
+critical_values and power_study is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, Exponential, SeededSampler
-from .empirical import EstimatorVariant, Sample, _log_gap_sum, _survival_weights
+from .distributions import Distribution, Exponential
+from .empirical import EstimatorVariant, Sample, _gap_sums, _log_gap_sum, _survival_weights
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -109,10 +114,13 @@ class PowerResult:
 # ---------- statistic ----------
 
 
-def _t_parts(x: np.ndarray, mean: float, weights: np.ndarray, gamma: float, delta: float,
-             include_head: bool) -> tuple[float, float, float]:
-    """Estimate, plug-in -2 * log(gamma / mean) / delta and T for sorted values x."""
-    estimate = _log_gap_sum(x, weights, include_head) / delta
+def _t_parts(total: float, mean: float, gamma: float, delta: float) -> tuple[float, float, float]:
+    """Estimate, plug-in -2 * log(gamma / mean) / delta and T from a sample's gap sum and mean.
+
+    Scalar on purpose: np.log / np.exp differ from math.log / math.exp in the
+    last bit on some inputs, and the simulated tables keep these bits.
+    """
+    estimate = _log_gap_sum(total) / delta
     plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
     return estimate, plug_in, math.exp(-abs(estimate - plug_in))
 
@@ -130,7 +138,8 @@ def statistic(
     mean = float(s.values.mean())
     weights = _survival_weights(s.n, order.gamma)
     include_head = variant is EstimatorVariant.FULL_STEP
-    estimate, plug_in, t = _t_parts(s.values, mean, weights, order.gamma, order.delta, include_head)
+    total = _gap_sums(s.values, weights, include_head)
+    estimate, plug_in, t = _t_parts(total, mean, order.gamma, order.delta)
     return TestStatistic(
         lambda_hat=1.0 / mean,
         estimate=estimate,
@@ -143,38 +152,25 @@ def statistic(
 # ---------- replication engine ----------
 
 
+# values (rows x n) per block of the engine: bounds its memory at any n and B
+_CHUNK_VALUES = 16384
+
+
 def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> np.ndarray:
     """T for replications [start, stop) of size-n samples drawn from d."""
     gamma, delta = cfg.order.gamma, cfg.order.delta
     weights = _survival_weights(n, gamma)
     include_head = cfg.variant is EstimatorVariant.FULL_STEP
-    out = np.empty(stop - start, dtype=float)
-    for r in range(start, stop):
-        x = d.sample_values(n, SeededSampler(cfg.seed, (tag << 56) | (n << 32) | r).generator())
-        x.sort()
-        out[r - start] = _t_parts(x, x.mean(), weights, gamma, delta, include_head)[2]
-    return out
-
-
-def _gather_blocks(block_fn, static_args: tuple, n: int, reps: int, workers: int) -> np.ndarray:
-    """Run block_fn over [0, reps) split into ranges; order-independent.
-
-    The pool never has more processes than ranges or CPUs.
-    """
-    if workers <= 1:
-        return block_fn(*static_args, n, 0, reps)
-    chunk = max(250, -(-reps // (workers * 4)))
-    starts = range(0, reps, chunk)
-    out = np.empty(reps, dtype=float)
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
-        futures = {}
-        for start in starts:
-            stop = min(start + chunk, reps)
-            fut = pool.submit(block_fn, *static_args, n, start, stop)
-            futures[fut] = (start, stop)
-        for fut, (start, stop) in futures.items():
-            out[start:stop] = fut.result()
-    return out
+    prefix = np.uint64((tag << 56) | (n << 32))
+    rows = max(1, _CHUNK_VALUES // n)
+    out = []
+    for lo in range(start, stop, rows):
+        streams = prefix | np.arange(lo, min(lo + rows, stop), dtype=np.uint64)
+        x = d._sample_streams(cfg.seed, streams, n)
+        x.sort(axis=1)
+        totals, means = _gap_sums(x, weights, include_head).tolist(), x.mean(axis=1).tolist()
+        out.extend(_t_parts(total, mean, gamma, delta)[2] for total, mean in zip(totals, means))
+    return np.array(out)
 
 
 def _sample_sizes(n_values) -> list[int]:
@@ -305,7 +301,7 @@ def critical_values(
     For each n, cfg.replications unit-rate exponential samples are drawn on
     per-replication substreams and the ceil(level * B)-th order statistic of
     T is recorded per level.  Output is a pure function of (cfg, n_values,
-    levels); the worker count only changes the wall time.
+    levels); workers is accepted and ignored.
     """
     cfg = cfg or TestConfig()
     levels = tuple(float(v) for v in levels)
@@ -313,7 +309,7 @@ def critical_values(
         raise GwentropyError("levels must lie strictly inside (0, 1)")
     rows: dict[int, tuple[float, ...]] = {}
     for n in _sample_sizes(n_values):
-        t = _gather_blocks(_replicate, (Exponential(1.0), _TAG_NULL, cfg), n, cfg.replications, workers)
+        t = _replicate(Exponential(1.0), _TAG_NULL, cfg, n, 0, cfg.replications)
         t.sort()
         rows[n] = tuple(_lower_quantile(t, lv) for lv in levels)
     return CriticalTable(
@@ -380,16 +376,17 @@ def power_study(
 
     Draws cfg.replications samples from `alt` per n (on substreams disjoint
     from the null ones) and counts T below the critical value.  When no
-    table is supplied one is simulated under cfg first.
+    table is supplied one is simulated under cfg first.  workers is
+    accepted and ignored.
     """
     cfg = cfg or TestConfig()
     levels = tuple(float(v) for v in levels)
     ns = _sample_sizes(n_values)
     if table is None:
-        table = critical_values(ns, levels, cfg, workers)
+        table = critical_values(ns, levels, cfg)
     results = []
     for n in ns:
-        t = _gather_blocks(_replicate, (alt, _TAG_ALT, cfg), n, cfg.replications, workers)
+        t = _replicate(alt, _TAG_ALT, cfg, n, 0, cfg.replications)
         for level in levels:
             cv = table.value(n, level)
             results.append(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from gwentropy.distributions import (
@@ -18,6 +20,8 @@ from gwentropy.distributions import (
     SeededSampler,
     Uniform,
     Weibull,
+    _philox_uniforms,
+    _stream_generators,
     from_spec,
 )
 from gwentropy.errors import DivergenceError, GwentropyError
@@ -236,6 +240,30 @@ def test_seeded_sampler_reproducible_and_stream_separated():
     c = SeededSampler(42, 1).generator().random(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(1 << 56, 2**64 - 1), min_size=1, max_size=4),
+    n=st.integers(1, 41),
+)
+@example(seed=2**64 - 1, streams=[2**64 - 1], n=1)
+@example(seed=0, streams=[(1 << 56) | (7 << 32)], n=7)
+def test_philox_block_matches_numpy_philox(seed, streams, n):
+    # numpy's own Philox is the oracle: row i must be stream i's first n draws
+    u = _philox_uniforms(seed, np.array(streams, dtype=np.uint64), n)
+    assert u.shape == (len(streams), n)
+    for row, stream in zip(u, streams):
+        np.testing.assert_array_equal(row, SeededSampler(seed, stream).generator().random(n))
+
+
+def test_stream_generators_restart_each_stream():
+    # the reused generator must forget the previous stream's counter and buffer
+    streams = np.array([3, 3, 1 << 60], dtype=np.uint64)
+    for rng, stream in zip(_stream_generators(11, streams), streams.tolist()):
+        fresh = SeededSampler(11, stream).generator()
+        np.testing.assert_array_equal(rng.standard_normal(5), fresh.standard_normal(5))
+        np.testing.assert_array_equal(rng.random(3), fresh.random(3))
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)

@@ -2,7 +2,6 @@
 
 import json
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,7 +18,17 @@ from gwentropy import (
     run_test,
     statistic,
 )
-from gwentropy.distributions import Exponential, SeededSampler, Weibull
+from gwentropy.distributions import (
+    Affine,
+    Exponential,
+    Gamma,
+    Pareto,
+    ProportionalHazards,
+    ProportionalReverseHazards,
+    SeededSampler,
+    Uniform,
+    Weibull,
+)
 from gwentropy.errors import GwentropyError, MissingTableEntryError
 
 ORD = EntropyOrder(0.26, 1.25)
@@ -106,37 +115,6 @@ def test_critical_values_worker_invariant():
     assert a.rows == c.rows == d.rows
 
 
-@pytest.mark.parametrize("cpus,pool", [(64, 4), (2, 2)])
-def test_worker_pool_is_capped_by_ranges_and_cpus(monkeypatch, cpus, pool):
-    # B = 1000 splits into four ranges of 250; a huge --workers must not
-    # start a process per requested worker
-    from gwentropy import gof
-
-    sizes = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    monkeypatch.setattr(gof, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(gof.os, "cpu_count", lambda: cpus)
-    cfg = TestConfig(replications=1000, seed=77)
-    wide = critical_values([5, 10], cfg=cfg, workers=10_000)
-    assert sizes == [pool, pool]
-    assert wide.rows == critical_values([5, 10], cfg=cfg, workers=1).rows
-
-
 def test_critical_values_monotone_in_level_and_n():
     t = small_table()
     for n in t.n_values:
@@ -204,16 +182,50 @@ def test_critical_rows_and_power_count_pinned():
 
 
 def test_replication_block_survives_zero_draw(monkeypatch):
-    # rng.random may return exactly 0; it must map to the support bottom
-    class ZeroFirst:
-        def random(self, n):
-            return np.linspace(0.0, 0.9, n)
+    # a uniform draw may be exactly 0; it must map to the support bottom
+    from gwentropy import distributions, gof
 
-    from gwentropy import gof
+    blocks = []
 
-    monkeypatch.setattr(gof.SeededSampler, "generator", lambda self: ZeroFirst())
+    def zero_first(seed, streams, n):
+        blocks.append(np.tile(np.linspace(0.0, 0.9, n), (streams.size, 1)))
+        return blocks[-1]
+
+    monkeypatch.setattr(distributions, "_philox_uniforms", zero_first)
     t = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
+    assert len(blocks) == 1  # the engine drew its uniforms through the patched block
     assert np.all((t > 0.0) & (t <= 1.0))
+
+
+ENGINE_CASES = [
+    pytest.param(Exponential(1.0), id="exponential"),
+    pytest.param(Weibull(2.0), id="weibull2"),
+    pytest.param(ProportionalHazards(Pareto(3.0, 1.0), 2.0), id="ph-pareto"),
+    pytest.param(Affine(Exponential(1.0), 2.0, 0.5), id="affine-exponential"),
+    pytest.param(ProportionalReverseHazards(Uniform(0.0, 2.0), 3.0), id="prh-uniform"),
+    # rejection sampling: one stream at a time
+    pytest.param(Gamma(5.0), id="gamma5"),
+    pytest.param(Gamma(0.5), id="gamma0.5"),
+    pytest.param(Affine(Gamma(5.0), 2.0, 0.5), id="affine-gamma5"),
+]
+
+
+@pytest.mark.parametrize("variant", list(EstimatorVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("d", ENGINE_CASES)
+@pytest.mark.parametrize("n,start,stop", [(20, 0, 30), (3000, 3, 15)])
+def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, stop):
+    # n = 3000 puts 16384 // 3000 = 5 replications in a block, so [3, 15)
+    # spans three blocks, the last one short
+    from gwentropy.gof import _replicate
+
+    cfg = TestConfig(seed=2**64 - 59, variant=variant)
+    t = _replicate(d, 2, cfg, n, start, stop)
+    expected = [
+        statistic(Sample(d.sample_values(n, SeededSampler(cfg.seed, (2 << 56) | (n << 32) | r).generator())),
+                  cfg.order, cfg.variant).t_value
+        for r in range(start, stop)
+    ]
+    assert t.tolist() == expected
 
 
 # ---------- running the test ----------
