@@ -308,11 +308,12 @@ def _shannon_rhs(d, t: float, side: str) -> float:
     or of X | X <= t ('failure'), both over the same conditioning window."""
     w = _window(d, t, side)
 
-    def integrand(x: float, v: float) -> float:
-        fx = float(d.pdf(x))
-        return (math.log(x) - math.log(fx / w)) / w if x > 0.0 and fx > 0.0 else 0.0
+    def integrand(x, v):
+        fx = d.pdf(x)
+        ok = (x > 0.0) & (fx > 0.0)
+        return np.where(ok, (np.log(np.where(ok, x, 1.0)) - np.log(np.where(ok, fx, w) / w)) / w, 0.0)
 
-    return window_integral(d, side, w, integrand)
+    return window_integral(d, side, t, integrand)
 
 
 def _logsum_rhs(d, order: EntropyOrder, t: float, side: str, value: float) -> float:
@@ -320,16 +321,18 @@ def _logsum_rhs(d, order: EntropyOrder, t: float, side: str, value: float) -> fl
     that measure's value: with h(x) = x * (F(x)/F(t))**gamma over the window,
     F = sf or cdf, it is the h-weighted mean of log h over delta, plus the log
     of the window's length over delta."""
-    w = _window(d, t, side)
-    log_w = math.log(w)
+    log_w = math.log(_window(d, t, side))
     length = d.support[1] - t if side == "survival" else t - d.support[0]
 
-    def h_log_h(x: float, v: float) -> float:
-        h = x * math.exp(order.gamma * (math.log(v) - log_w))
-        return h * math.log(h) / float(d.pdf(x)) if h > 0.0 else 0.0
+    def h_log_h(x, v):
+        h = x * np.exp(order.gamma * (np.log(v) - log_w))
+        fx = d.pdf(x)
+        ok = (h > 0.0) & (fx > 0.0)
+        hs = np.where(ok, h, 1.0)
+        return np.where(ok, hs * np.log(hs) / np.where(ok, fx, 1.0), 0.0)
 
     total = math.exp(order.delta * value)
-    return window_integral(d, side, w, h_log_h) / (order.delta * total) + math.log(length) / order.delta
+    return window_integral(d, side, t, h_log_h) / (order.delta * total) + math.log(length) / order.delta
 
 
 def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:

@@ -59,7 +59,9 @@ class Distribution:
     support: tuple[float, float] = (0.0, math.inf)
 
     # subclasses implement pdf, cdf, sf and the unchecked inverse _quantile
-    # (plus _isf where 1 - u would lose precision)
+    # (plus _isf where 1 - u would lose precision); a family with an
+    # infinite tail also gives _log_sf, _hazard and _isf_log, which hold
+    # where sf underflows: ProportionalHazards with a small theta reaches there
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
@@ -84,15 +86,27 @@ class Distribution:
         raise NotImplementedError
 
     def _isf(self, v):
-        return self._quantile(np.asarray(1.0 - v))  # array: see ProportionalHazards
+        return self._quantile(np.asarray(1.0 - v))  # array: see ProportionalReverseHazards
+
+    def _isf_log(self, log_v):
+        """Inverse survival function at v = exp(log_v)."""
+        return self._isf(np.exp(log_v))
+
+    def _log_sf(self, x):
+        with np.errstate(divide="ignore"):
+            return np.log(self.sf(x))
+
+    def _hazard(self, x):
+        """pdf / sf as an array; nan or inf at and past a finite support top."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.pdf(x) / self.sf(x)
 
     # ---------- derived quantities ----------
 
     def hazard(self, t: float) -> float:
         """Failure rate pdf(t) / sf(t); defined where sf(t) > 0."""
-        s = float(self.sf(t))
-        _require(s > 0.0, f"hazard undefined at t={t}: survival is zero")
-        return float(self.pdf(t)) / s
+        _require(float(self.sf(t)) > 0.0, f"hazard undefined at t={t}: survival is zero")
+        return float(self._hazard(t))
 
     def reverse_hazard(self, t: float) -> float:
         """Reversed rate pdf(t) / cdf(t); defined where cdf(t) > 0."""
@@ -171,7 +185,17 @@ class Exponential(Distribution):
         return np.log1p(-u) / -self.rate
 
     def _isf(self, v):
-        return -np.log(v) / self.rate
+        return self._isf_log(np.log(v))
+
+    def _isf_log(self, log_v):
+        return -log_v / self.rate
+
+    def _log_sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, -self.rate * x)
+
+    def _hazard(self, x):
+        return np.where(np.asarray(x, dtype=float) < 0.0, 0.0, self.rate)
 
     def hazard(self, t):
         _require(t >= 0.0, "hazard defined on t >= 0")
@@ -212,6 +236,17 @@ class Pareto(Distribution):
 
     def _isf(self, v):
         return self.scale * v ** (-1.0 / self.shape)
+
+    def _isf_log(self, log_v):
+        return self.scale * np.exp(-log_v / self.shape)
+
+    def _log_sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > self.scale, self.shape * np.log(self.scale / np.maximum(x, self.scale)), 0.0)
+
+    def _hazard(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= self.scale, self.shape / np.maximum(x, self.scale), 0.0)
 
     def _check_tail(self, g, weighted=True):
         need = 2.0 if weighted else 1.0
@@ -329,7 +364,18 @@ class Rayleigh(Distribution):
         return np.sqrt(-np.log1p(-u) / self.rate)
 
     def _isf(self, v):
-        return np.sqrt(-np.log(v) / self.rate)
+        return self._isf_log(np.log(v))
+
+    def _isf_log(self, log_v):
+        return np.sqrt(-log_v / self.rate)
+
+    def _log_sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, -self.rate * x * x)
+
+    def _hazard(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, 2.0 * self.rate * x)
 
     def _survival_closed(self, g, t, weighted):
         lg = self.rate * g
@@ -367,7 +413,19 @@ class Weibull(Distribution):
         return (-np.log1p(-u)) ** (1.0 / self.shape)
 
     def _isf(self, v):
-        return (-np.log(v)) ** (1.0 / self.shape)
+        return self._isf_log(np.log(v))
+
+    def _isf_log(self, log_v):
+        return (-log_v) ** (1.0 / self.shape)
+
+    def _log_sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return -(np.where(x > 0.0, x, 0.0) ** self.shape)
+
+    def _hazard(self, x):
+        x = np.asarray(x, dtype=float)
+        inside = x > 0.0
+        return np.where(inside, self.shape * np.where(inside, x, 1.0) ** (self.shape - 1.0), 0.0)
 
 
 class Gamma(Distribution):
@@ -378,12 +436,13 @@ class Gamma(Distribution):
         self.shape = float(shape)
         self.support = (0.0, math.inf)
 
+    def _log_pdf(self, xs):
+        return (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = x > 0.0
-        xs = np.where(inside, x, 1.0)
-        log_pdf = (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
-        return np.where(inside, np.exp(log_pdf), 0.0)
+        return np.where(inside, np.exp(self._log_pdf(np.where(inside, x, 1.0))), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -399,8 +458,58 @@ class Gamma(Distribution):
     def _isf(self, v):
         return special.gammainccinv(self.shape, v)
 
+    def _log_sf(self, x):
+        x = np.asarray(x, dtype=float)
+        q = self.sf(x)
+        with np.errstate(divide="ignore"):
+            out = np.array(np.log(q))
+        deep = (q < _TINY) & np.isfinite(x)  # sf near underflow: log of its continued fraction
+        out[deep] = _log_upper_gamma(self.shape, x[deep])
+        return out[()]
+
+    def _hazard(self, x):
+        x = np.asarray(x, dtype=float)
+        inside = x > 0.0
+        xs = np.where(inside, x, 1.0)
+        return np.where(inside, np.exp(self._log_pdf(xs) - self._log_sf(xs)), 0.0)
+
+    def _isf_log(self, log_v):
+        log_v = np.asarray(log_v, dtype=float)
+        x = np.empty_like(log_v)
+        deep = log_v <= _LOG_TINY
+        x[~deep] = self._isf(np.exp(log_v[~deep]))
+        # Newton on log sf from its leading term -x + (shape - 1) log x - log Gamma(shape)
+        lv = log_v[deep]
+        y = -lv + (self.shape - 1.0) * np.log(-lv) - special.gammaln(self.shape)
+        for _ in range(6):
+            y = y + (self._log_sf(y) - lv) / self._hazard(y)
+        x[deep] = y
+        return x[()]
+
     def sample_values(self, n, rng):
         return _gamma_rejection(self.shape, n, rng)
+
+
+_TINY = 1e-300
+_LOG_TINY = math.log(_TINY)
+
+
+def _log_upper_gamma(a, x):
+    """log of the regularized upper incomplete gamma Q(a, x) for x > a + 1, by
+    its continued fraction (modified Lentz), which holds where Q underflows."""
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / _TINY)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 300):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * d * c
+        if np.all(np.abs(d * c - 1.0) < 1e-16):
+            break
+    return a * np.log(x) - x - special.gammaln(a) + np.log(h)
 
 
 # ---------- transformation wrappers ----------
@@ -449,6 +558,15 @@ class Affine(Distribution):
     def _isf(self, v):
         return self.scale * self.base._isf(v) + self.shift
 
+    def _isf_log(self, log_v):
+        return self.scale * self.base._isf_log(log_v) + self.shift
+
+    def _log_sf(self, x):
+        return self.base._log_sf(self._pullback(x))
+
+    def _hazard(self, x):
+        return self.base._hazard(self._pullback(x)) / self.scale
+
 
 class ProportionalHazards(Distribution):
     """Distribution with sf(x) = base.sf(x) ** theta (theta > 0)."""
@@ -459,23 +577,36 @@ class ProportionalHazards(Distribution):
         self.theta = float(theta)
         self.support = base.support
 
+    # sf = base.sf**theta is taken in logs, and pdf as theta * sf * base
+    # hazard: where theta is small the base sf and pdf underflow long before
+    # sf does, in a tail that carries mass
+
     def pdf(self, x):
-        s = np.asarray(self.base.sf(x), dtype=float)
-        return self.theta * s ** (self.theta - 1.0) * self.base.pdf(x)
+        s = self.sf(x)
+        with np.errstate(invalid="ignore"):  # the base hazard is inf at a finite top
+            return np.where(s > 0.0, self.theta * s * self.base._hazard(x), 0.0)
 
     def cdf(self, x):
         return 1.0 - self.sf(x)
 
     def sf(self, x):
-        return np.asarray(self.base.sf(x), dtype=float) ** self.theta
+        return np.exp(self._log_sf(x))
 
-    # the base gets an array even for scalar input: numpy's scalar and array
-    # pow differ in the last bit, and quadrature results would move with it
+    def _log_sf(self, x):
+        return self.theta * self.base._log_sf(x)
+
+    def _hazard(self, x):
+        return self.theta * self.base._hazard(x)
+
     def _quantile(self, u):
-        return self.base._isf(np.asarray((1.0 - u) ** (1.0 / self.theta)))
+        return self._isf_log(np.log1p(-np.asarray(u, dtype=float)))
 
     def _isf(self, v):
-        return self.base._isf(np.asarray(v ** (1.0 / self.theta)))
+        return self._isf_log(np.log(v))
+
+    def _isf_log(self, log_v):
+        # log base sf = log_v / theta
+        return _split_inverse(np.asarray(log_v, dtype=float) / self.theta, self.base._isf_log, self.base._quantile)
 
     def _check_tail(self, g, weighted=True):
         self.base._check_tail(g * self.theta, weighted)
@@ -501,12 +632,32 @@ class ProportionalReverseHazards(Distribution):
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
+    # the base gets an array even for scalar input: numpy's scalar and array
+    # pow differ in the last bit
     def _quantile(self, u):
-        return self.base._quantile(np.asarray(u ** (1.0 / self.theta)))  # array, as above
+        return self.base._quantile(np.asarray(u ** (1.0 / self.theta)))
+
+    def _isf(self, v):
+        # base cdf = (1 - v)**(1/theta); its underflow only rounds x onto the support bottom
+        log_c = np.log1p(-np.asarray(v, dtype=float)) / self.theta
+        return _split_inverse(log_c, lambda log_c: self.base._quantile(np.exp(log_c)), self.base._isf)
 
     def _check_tail(self, g, weighted=True):
         # tail decay matches the base family up to the constant theta
         self.base._check_tail(g, weighted)
+
+
+def _split_inverse(log_q, near, far):
+    """x at base probability q = exp(log_q) on the near side: near(log_q)
+    where q < 1/2, else far(1 - q) on the far side, with 1 - q taken as
+    -expm1(log_q), which keeps the digits that rounding q near 1 would lose.
+    """
+    log_q = np.asarray(log_q, dtype=float)
+    x = np.empty_like(log_q)
+    near_side = log_q < -math.log(2.0)
+    x[near_side] = near(log_q[near_side])
+    x[~near_side] = far(-np.expm1(log_q[~near_side]))
+    return x[()]
 
 
 # ---------- sampling ----------

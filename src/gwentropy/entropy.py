@@ -20,10 +20,10 @@ reaches the static gwfe value at the top and stays there.
 
 Closed forms exist for the exponential, Pareto, uniform, rayleigh (survival
 side) and uniform, power (failure side) families; everything else goes
-through adaptive quadrature.  Both routes live behind ``_quad``'s
-survival_integral / failure_integral; ``method`` ("auto", "closed" or
-"quadrature") selects between them, mainly so the two routes can be checked
-against each other.
+through tanh-sinh quadrature in probability space.  Both routes live behind
+``_quad``'s survival_integral / failure_integral; ``method`` ("auto",
+"closed" or "quadrature") selects between them, mainly so the two routes can
+be checked against each other.
 """
 
 from __future__ import annotations

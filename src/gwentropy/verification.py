@@ -1,8 +1,8 @@
 """Dual-route verification of the closed forms against quadrature.
 
 Each cell draws random parameters for one (family, transform, measure)
-combination, evaluates the underlying power integral once by adaptive
-quadrature (``method="quadrature"``) and once through the family's own
+combination, evaluates the underlying power integral once by quadrature
+(``method="quadrature"``) and once through the family's own
 closed form (``method="closed"``), the one users get, and records the worst
 relative disagreement.  Transformed variables (power of the survival or
 failure function, scalar multiples) are integrated through the wrapper

@@ -96,7 +96,7 @@ def test_pdf_integrates_to_one(d):
 
     lo, hi = d.support
     top = hi if math.isfinite(hi) else float(d.isf(1e-14))
-    mass = integrate(lambda x: float(d.pdf(x)), lo, top)
+    mass = integrate(d.pdf, lo, top)
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -153,8 +153,9 @@ def test_zero_draw_maps_to_support_bottom(d):
     ids=lambda d: type(d).__name__,
 )
 def test_scalar_inverse_matches_array_bits(d):
-    # quadrature calls isf one scalar at a time; a wrapper must hand its base
-    # an array, since numpy's scalar pow rounds differently from its array pow
+    # a scalar call (the quad fallback makes them) must give the array call's
+    # bits, so a wrapper hands its base an array: numpy's scalar pow rounds
+    # differently from its array pow
     u = np.linspace(0.01, 0.99, 99)
     assert [float(d.quantile(x)) for x in u] == list(d.quantile(u))
     assert [float(d.isf(x)) for x in u] == list(d.isf(u))
@@ -219,6 +220,41 @@ def test_proportional_reverse_hazards_wrapper():
     np.testing.assert_allclose(z.cdf(x), np.asarray(base.cdf(x)) ** 1.9, rtol=1e-12)
     u = np.array([0.1, 0.6, 0.95])
     np.testing.assert_allclose(z.cdf(z.quantile(u)), u, rtol=1e-9)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1, 0.5, 3.0, 50.0])
+def test_proportional_inverses_hold_both_tails(theta):
+    # PH(Exponential(1), theta) is Exponential(theta), and the PRH survival
+    # inverse is the base quantile at (1 - v)**(1/theta), in both tails,
+    # including where (1 - u)**(1/theta) rounds to 1 or underflows
+    z = ProportionalHazards(Exponential(1.0), theta)
+    u = np.array([1e-300, 1e-12, 0.3, 0.5, 0.99, 1.0 - 2.0**-53])
+    np.testing.assert_allclose(z.quantile(u), Exponential(theta).quantile(u), rtol=1e-14)
+    np.testing.assert_allclose(z.isf(u), Exponential(theta).isf(u), rtol=1e-14)
+    log_c = np.log1p(-u) / theta  # log base cdf at PRH.isf(u)
+    with np.errstate(divide="ignore"):
+        want = np.where(log_c < -1.0, -np.log1p(-np.exp(log_c)), -np.log(-np.expm1(log_c)))
+    prh = ProportionalReverseHazards(Exponential(1.0), theta)
+    np.testing.assert_allclose(prh.isf(u), want, rtol=1e-13)
+
+
+def test_proportional_hazards_tail_beyond_base_underflow():
+    # sf = base.sf**theta and pdf stay exact where base.sf underflows
+    x = np.array([10.0, 800.0, 5000.0])
+    z = ProportionalHazards(Exponential(1.0), 0.01)
+    np.testing.assert_allclose(z.sf(x), np.exp(-0.01 * x), rtol=1e-14)
+    np.testing.assert_allclose(z.pdf(x), 0.01 * np.exp(-0.01 * x), rtol=1e-14)
+
+
+def test_gamma_log_tail_beyond_underflow():
+    # Gamma(2) has sf = (1 + x) exp(-x); its log tail and inverse hold past
+    # the underflow of sf, through the continued fraction and Newton steps
+    d = Gamma(2.0)
+    x = np.array([0.5, 10.0, 680.0, 800.0, 5000.0])
+    np.testing.assert_allclose(d._log_sf(x), np.log1p(x) - x, rtol=1e-14)
+    # exp(log pdf - log sf) keeps about |x| ulps
+    np.testing.assert_allclose(d._hazard(x), x / (1.0 + x), rtol=1e-12)
+    np.testing.assert_allclose(d._isf_log(np.log1p(x) - x), x, rtol=1e-13)
 
 
 def test_affine_sampling_is_pushforward():

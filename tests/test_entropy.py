@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import quad
 
 from gwentropy import (
     EntropyKind,
@@ -19,13 +20,16 @@ from gwentropy import (
     gwse,
     gwse_first_order_stat,
 )
-from gwentropy._quad import failure_integral, survival_integral
+import gwentropy._quad as _quad
+from gwentropy._quad import REL_TOL, failure_integral, integrate, survival_integral
 from gwentropy.distributions import (
     Affine,
     Exponential,
     Gamma,
     Pareto,
     Power,
+    ProportionalHazards,
+    ProportionalReverseHazards,
     Rayleigh,
     Uniform,
     Weibull,
@@ -219,6 +223,85 @@ def test_quadrature_meets_rel_tol_on_tiny_integrals():
         quad = failure_integral(d, 0.51, 1e-5, "quadrature", weighted)
         closed = failure_integral(d, 0.51, 1e-5, "closed", weighted)
         assert quad == pytest.approx(closed, rel=1e-10, abs=0.0)
+
+
+def test_integrate_falls_back_to_quad_per_element(monkeypatch):
+    # an element tanhsinh does not converge on is integrated again by quad;
+    # the other element keeps its tanhsinh value
+    real = _quad.tanhsinh
+
+    def second_fails(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status[1] = -2
+        res.integral[1] = math.nan
+        return res
+
+    monkeypatch.setattr(_quad, "tanhsinh", second_fails)
+    got = integrate(lambda x, p: x**p, 0.0, [1.0, 2.0], args=(np.array([0.5, -0.5]),))
+    want = quad(lambda x: x**-0.5, 0.0, 2.0, epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS)[0]
+    assert got[0] == pytest.approx(2.0 / 3.0, rel=REL_TOL)
+    assert got[1] == want
+
+
+def test_pareto_boundary_case_meets_rel_tol(monkeypatch):
+    # shape * gamma = 2.3 leaves about v**-0.98 at the window's open end,
+    # where tanhsinh stops at its last level and the quad fallback takes over
+    fallbacks = []
+    real = _quad.quad
+    monkeypatch.setattr(_quad, "quad", lambda *a, **k: fallbacks.append(a) or real(*a, **k))
+    d = Pareto(2.3 / 0.15, 1.0)
+    got = survival_integral(d, 0.15, 0.0, "quadrature")
+    assert len(fallbacks) == 1
+    assert got == pytest.approx(survival_integral(d, 0.15, 0.0, "closed"), rel=REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("base,theta", [(Exponential(1.0), 5.0), (Weibull(0.7), 3.0)], ids=["exponential", "weibull"])
+def test_prh_survival_quadrature_meets_rel_tol(base, theta):
+    # the survival-side inverse of a PRH model must not round 1 - v: against
+    # an x-space reference with sf = -expm1(theta * log1p(-base.sf))
+    d = ProportionalReverseHazards(base, theta)
+    g = 0.51
+
+    def sf(x):
+        return -math.expm1(theta * math.log1p(-float(base.sf(x))))
+
+    ref = quad(lambda x: x * sf(x) ** g, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    assert survival_integral(d, g, 0.0, "quadrature") == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "base,reduced",
+    [
+        (Exponential(1.0), lambda th: Exponential(th)),
+        (Rayleigh(0.7), lambda th: Rayleigh(0.7 * th)),
+        (Pareto(400.0, 1.2), lambda th: Pareto(400.0 * th, 1.2)),
+    ],
+    ids=["exponential", "rayleigh", "pareto"],
+)
+@pytest.mark.parametrize("theta", [0.01, 0.02, 0.03])
+def test_ph_small_theta_quadrature_meets_rel_tol(base, reduced, theta):
+    # with a small theta the window reaches far past where base.sf underflows,
+    # and that tail carries more than REL_TOL of the integral
+    d = ProportionalHazards(base, theta)
+    for g in (ORD.gamma, 1.0):
+        for t in (0.0, 3.0):
+            got = survival_integral(d, g, t, "quadrature")
+            assert got == pytest.approx(survival_integral(reduced(theta), g, t, "closed"), rel=REL_TOL, abs=0.0)
+    assert gwse(d, ORD, method="quadrature").value == pytest.approx(gwse(reduced(theta), ORD).value, rel=REL_TOL)
+
+
+@pytest.mark.parametrize(
+    "theta,g,t,ref",
+    [
+        (0.03, 1.0, 0.5, 1254.95107084457645950761549678),
+        (0.02, 0.3, 3.0, 28992.647639649383943),
+    ],
+)
+def test_ph_gamma_small_theta_quadrature_meets_rel_tol(theta, g, t, ref):
+    # integral of x * (sf(x)/sf(t))**(theta * g) from t with sf = (1 + x) exp(-x),
+    # references by 30-digit mpmath quadrature
+    got = survival_integral(ProportionalHazards(Gamma(2.0), theta), g, t, "quadrature")
+    assert got == pytest.approx(ref, rel=REL_TOL, abs=0.0)
 
 
 def test_closed_method_requires_closed_form():
