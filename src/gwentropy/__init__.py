@@ -60,6 +60,7 @@ from .errors import (
     DivergenceError,
     GwentropyError,
     MissingTableEntryError,
+    QuadratureError,
 )
 from .gof import (
     CriticalTable,

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad, tanhsinh
 
-from .errors import DivergenceError, GwentropyError
+from .errors import DivergenceError, GwentropyError, QuadratureError
 
 REL_TOL = 1e-10  # the only stopping rule: an absolute floor would govern integrals near 0
 MAX_SUBDIVISIONS = 200  # of the quad fallback
@@ -43,12 +43,18 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
 
     f is only evaluated strictly inside (a, b): tanhsinh gives nodes that
     round onto a limit zero weight, and they are evaluated at the midpoint.
+    A value of f that is not finite raises QuadratureError; tanhsinh would
+    replace it by a finite neighbour without a word.
     """
     a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), *args)
 
     def inside(x, a, b, *args):
         edge = (x <= a) | (x >= b)
-        return np.where(edge, 0.0, f(np.where(edge, (a + b) / 2.0, x), *args))
+        fx = f(np.where(edge, (a + b) / 2.0, x), *args)
+        bad = np.size(fx) - np.count_nonzero(np.isfinite(fx))
+        if bad:
+            raise QuadratureError(f"integrand is not finite at {bad} of {np.size(fx)} nodes")
+        return np.where(edge, 0.0, fx)
 
     # the first stop is after level 3: an error estimate from levels 0-2 alone
     # can be a hundred times too small where a window is split
@@ -113,9 +119,11 @@ def _power_window(d, side: str, t: float, g: float, weighted: bool) -> float:
 
     def integrand(x, v):
         fx = d.pdf(x)
-        # pdf is 0 only where x rounds onto or past a finite support end
-        p = np.where(fx > 0.0, np.exp(g * (np.log(v) - log_w)) / np.where(fx > 0.0, fx, 1.0), 0.0)
-        return x * p if weighted else p
+        # pdf is 0 only where x rounds onto or past a support end: a finite
+        # one, or inf where the isf of a heavy tail overflows for v near 0
+        ok = fx > 0.0
+        p = np.where(ok, np.exp(g * (np.log(v) - log_w)) / np.where(ok, fx, 1.0), 0.0)
+        return np.where(ok, x, 0.0) * p if weighted else p
 
     return window_integral(d, side, t, integrand)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import _ziggurat
 from ._quad import failure_integral, survival_integral
 from .errors import DivergenceError, GwentropyError
 
@@ -150,10 +151,10 @@ class Distribution:
         return np.asarray(self._quantile(rng.random(n)), dtype=float)
 
     def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-        """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()):
-        one Philox block for inversion, stream by stream for a sampler of its own."""
-        if type(self).sample_values is not Distribution.sample_values:
-            return np.stack([self.sample_values(n, rng) for rng in _stream_generators(seed, streams)])
+        """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
+        bit for bit: one array Philox block put through _quantile.  A family
+        with a sampler of its own overrides this with the same sampler run
+        on all rows at once (Gamma; Affine delegates to its base)."""
         return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
 
 
@@ -489,6 +490,9 @@ class Gamma(Distribution):
     def sample_values(self, n, rng):
         return _gamma_rejection(self.shape, n, rng)
 
+    def _sample_streams(self, seed, streams, n):
+        return _gamma_streams(self.shape, seed, streams, n)
+
 
 _TINY = 1e-300
 _LOG_TINY = math.log(_TINY)
@@ -587,7 +591,7 @@ class ProportionalHazards(Distribution):
             return np.where(s > 0.0, self.theta * s * self.base._hazard(x), 0.0)
 
     def cdf(self, x):
-        return 1.0 - self.sf(x)
+        return -np.expm1(self._log_sf(x))
 
     def sf(self, x):
         return np.exp(self._log_sf(x))
@@ -630,7 +634,10 @@ class ProportionalReverseHazards(Distribution):
         return np.asarray(self.base.cdf(x), dtype=float) ** self.theta
 
     def sf(self, x):
-        return 1.0 - self.cdf(x)
+        # 1 - base.cdf**theta in logs, which keeps the digits of a small sf;
+        # log1p(-1) = -inf below the support bottom gives sf = 1
+        with np.errstate(divide="ignore"):
+            return -np.expm1(self.theta * np.log1p(-np.asarray(self.base.sf(x), dtype=float)))
 
     # the base gets an array even for scalar input: numpy's scalar and array
     # pow differ in the last bit
@@ -683,21 +690,6 @@ class SeededSampler:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_generators(seed: int, streams: np.ndarray):
-    """SeededSampler(seed, s).generator() for each s in turn, as one reused Generator.
-
-    Each stream restarts the one Philox in the state a new one starts in
-    (counter 0, empty buffer), without the cost of building one.  Consume
-    each generator before taking the next.
-    """
-    rng = SeededSampler(seed).generator()
-    start = rng.bit_generator.state
-    for stream in streams.tolist():
-        start["state"]["key"][1] = stream
-        rng.bit_generator.state = start
-        yield rng
-
-
 # Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and word order
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -714,15 +706,14 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * b_hi + (mid >> _S32) + (low_mid >> _S32), np.uint64(a) * b
 
 
-def _philox_uniforms(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """Row i is SeededSampler(seed, streams[i]).generator().random(n), bit for bit.
-
-    numpy's Philox emits, for counters 1, 2, ..., the four words of each
-    ten-round block in order, and random() maps a word w to (w >> 11) * 2**-53.
-    """
-    rows, blocks = streams.size, -(-n // 4)
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (rows, 1))
-    c1 = c2 = c3 = np.zeros_like(c0)
+def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> np.ndarray:
+    """The 4 * blocks words of each row's Philox stream from counter first_block
+    on (an int, or one per row), as SeededSampler(seed, streams[i]).generator()
+    emits them: for counters 1, 2, ..., the four words of each ten-round block."""
+    rows = streams.size
+    first = np.asarray(first_block, dtype=np.uint64).reshape(-1, 1)
+    c0 = np.broadcast_to(first + np.arange(blocks, dtype=np.uint64), (rows, blocks))
+    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
     k0, k1 = seed & 0xFFFFFFFFFFFFFFFF, streams.astype(np.uint64).reshape(rows, 1)
     for i in range(10):
         if i:  # Weyl key bump; uint64 arrays wrap, Python ints are masked
@@ -730,8 +721,157 @@ def _philox_uniforms(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)[:, :n]
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's next_double: the top 53 bits of each word, times 2**-53."""
     return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _philox_uniforms(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
+    """Row i is SeededSampler(seed, streams[i]).generator().random(n), bit for bit."""
+    return _doubles(_philox_words(seed, streams, 1, -(-n // 4))[:, :n])
+
+
+# numpy's ziggurat normal (random_standard_normal): a word w gives the layer
+# idx = w & 0xFF, the sign bit 8 and rabs = the 52 bits above it; rabs < KI[idx]
+# (about 99.3% of words) returns +-rabs * WI[idx] at once, anything else is
+# the slow path of _slow_normals
+_KI = np.array(_ziggurat.KI, dtype=np.uint64)
+_WI = np.array(_ziggurat.WI_BITS, dtype=np.uint64).view(np.float64)
+_FI = np.array(_ziggurat.FI_BITS, dtype=np.uint64).view(np.float64)
+_RABS = np.uint64(0x000FFFFFFFFFFFFF)
+_LAYER = np.uint64(0xFF)
+_ROW_KEY = 1 << 40  # a slow word's key is row * _ROW_KEY + column
+_NO_KEY = np.iinfo(np.int64).max
+
+
+def _fast_normals(words: np.ndarray) -> np.ndarray:
+    """The fast-path normal of each word, +-rabs * WI[idx]."""
+    idx = words & _LAYER
+    x = ((words >> np.uint64(9)) & _RABS).astype(float) * _WI.take(idx)
+    return np.where(words & np.uint64(0x100), -x, x)
+
+
+def _slow_keys(rows: np.ndarray, start: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Keys of the words of row block `words` (row i of it is row rows[i],
+    from column start[i] on) that miss the ziggurat's fast path."""
+    r, c = np.nonzero(((words >> np.uint64(9)) & _RABS) >= _KI.take(words & _LAYER))
+    return rows[r] * _ROW_KEY + start[r] + c
+
+
+class _WordBuffer:
+    """Each row's Philox words from the start of its stream, grown row by row
+    where it stopped when a row asks for more, and the sorted keys of the
+    words that miss the ziggurat's fast path."""
+
+    def __init__(self, seed: int, streams: np.ndarray, width: int):
+        rows, blocks = streams.size, -(-width // 4)
+        self.seed, self.streams = seed, streams
+        self.words = _philox_words(seed, streams, 1, blocks)
+        self.have = np.full(rows, 4 * blocks)
+        self.slow = np.append(_slow_keys(np.arange(rows), np.zeros(rows, dtype=np.int64), self.words), _NO_KEY)
+
+    def reserve(self, rows: np.ndarray, upto: np.ndarray) -> None:
+        """Make words [0, upto[i]) of row rows[i] readable."""
+        short = upto > self.have[rows]
+        if not short.any():
+            return
+        rows, start = rows[short], self.have[rows[short]]
+        blocks = -(-int((upto[short] - start).max()) // 4)
+        chunk = _philox_words(self.seed, self.streams[rows], start // 4 + 1, blocks)
+        grow = int(start.max()) + 4 * blocks - self.words.shape[1]
+        if grow > 0:
+            self.words = np.pad(self.words, ((0, 0), (0, grow)))
+        self.words[rows[:, None], start[:, None] + np.arange(4 * blocks)] = chunk
+        self.have[rows] = start + 4 * blocks
+        self.slow = np.sort(np.concatenate((self.slow, _slow_keys(rows, start, chunk))))
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Word cols[i] of row rows[i]."""
+        return self.words.take(rows * self.words.shape[1] + cols)
+
+    def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """k[i] doubles of row rows[i] from word pos[i] on, flattened row by row."""
+        self.reserve(rows, pos + k)
+        seg, j = _ragged(k)
+        return _doubles(self.at(rows[seg], pos[seg] + j))
+
+    def normals(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """k[i] standard normals of row rows[i] from word pos[i] on, as numpy's
+        Generator.standard_normal draws them, flattened row by row; and the
+        word position after each row's last one.
+
+        Each row's normals are fast-path runs between slow words; the slow
+        words are taken in increasing word order, all rows at once.
+        """
+        end = np.cumsum(k)
+        z = np.empty(int(end[-1]))
+        dst, p = end - k, pos.copy()
+        runs = []  # (row, first word, first output, length) of the fast runs
+        live = np.arange(rows.size)
+        while live.size:
+            need = end[live] - dst[live]
+            self.reserve(rows[live], p[live] + need)
+            key = rows[live] * _ROW_KEY + p[live]
+            gap = self.slow[np.searchsorted(self.slow, key)] - key
+            hit = gap < need
+            run = np.where(hit, gap, need)
+            runs.append((rows[live], p[live], dst[live], run))
+            p[live] += run
+            dst[live] += run
+            live = live[hit]
+            if live.size:
+                made, value, used = self._slow_normals(rows[live], p[live])
+                z[dst[live[made]]] = value[made]
+                dst[live] += made
+                p[live] += used
+                live = live[dst[live] < end[live]]
+        r, first, out, run = (np.concatenate(col) for col in zip(*runs))
+        seg, j = _ragged(run)
+        z[out[seg] + j] = _fast_normals(self.at(r[seg], first[seg] + j))
+        return z, p
+
+    def _slow_normals(self, rows: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slow path of the ziggurat word at pos[i] of row rows[i]: whether
+        it makes a normal, the normal, and the words it reads.
+
+        exp and log1p come from math, the libm functions numpy's C calls.
+        """
+        self.reserve(rows, pos + 2)
+        w = self.at(rows, pos)
+        idx = (w & _LAYER).astype(np.intp)
+        rabs = (w >> np.uint64(9)) & _RABS
+        x = _fast_normals(w)
+        # the wedge of layer idx > 0: one double against the density
+        u = _doubles(self.at(rows, pos + 1))
+        density = np.array([math.exp(e) for e in (-0.5 * x * x).tolist()])
+        made = (_FI[idx - 1] - _FI[idx]) * u + _FI[idx] < density
+        used = np.full(rows.size, 2)
+        # the tail beyond R of layer 0: pairs of doubles until one is accepted
+        tail = np.flatnonzero(idx == 0)
+        made[tail], used[tail] = True, 1
+        while tail.size:
+            at = pos[tail] + used[tail]
+            self.reserve(rows[tail], at + 2)
+            a = _doubles(self.at(rows[tail], at)).tolist()
+            b = _doubles(self.at(rows[tail], at + 1)).tolist()
+            xx = np.array([-_ziggurat.INV_R * math.log1p(-v) for v in a])
+            yy = np.array([-math.log1p(-v) for v in b])
+            ok = yy + yy > xx * xx
+            beyond = _ziggurat.R + xx[ok]
+            # the sign is bit 8 of rabs, not the word's sign bit
+            x[tail[ok]] = np.where((rabs[tail[ok]] >> np.uint64(8)) & np.uint64(1), -beyond, beyond)
+            used[tail] += 2
+            tail = tail[~ok]
+        return made, x, used
+
+
+def _ragged(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and offset within it of each element of consecutive segments of these lengths."""
+    seg = np.repeat(np.arange(lens.size), lens)
+    return seg, np.arange(seg.size) - (np.cumsum(lens) - lens)[seg]
 
 
 def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -760,6 +900,48 @@ def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarr
         out[todo[accept]] = d * vs[accept]
         todo = todo[~accept]
     if boost is not None:
+        out *= boost
+    return out
+
+
+# spare words in a row's first buffer, as a share of its boost block and first
+# round: later rounds and slow ziggurat words mostly fit in them, and a row
+# that reads past them is extended where it stopped
+_GAMMA_SPARE = 0.125
+
+
+def _gamma_streams(shape: float, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
+    """Row i is _gamma_rejection(shape, n, SeededSampler(seed, streams[i]).generator()),
+    bit for bit: the same rounds and expressions, with one word position per row."""
+    rows = streams.size
+    boosted = shape < 1.0
+    first = (3 if boosted else 2) * n  # the words of a row's boost block and first round
+    words = _WordBuffer(seed, streams, first + int(first * _GAMMA_SPARE) + 4)
+    pos = np.zeros(rows, dtype=np.int64)
+    q = shape
+    if boosted:
+        boost = _doubles(words.words[:, :n]) ** (1.0 / q)
+        pos += n
+        q = q + 1.0
+    d = q - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(rows * n, dtype=float)
+    todo = np.arange(rows * n)
+    while todo.size:
+        k = np.bincount(todo // n, minlength=rows)
+        live = np.flatnonzero(k)
+        k = k[live]
+        z, pos[live] = words.normals(live, pos[live], k)
+        u = words.doubles(live, pos[live], k)
+        pos[live] += k
+        v = (1.0 + c * z) ** 3
+        ok = v > 0.0
+        vs = np.where(ok, v, 1.0)
+        accept = ok & (np.log(u) < 0.5 * z * z + d * (1.0 - vs + np.log(vs)))
+        out[todo[accept]] = d * vs[accept]
+        todo = todo[~accept]
+    out = out.reshape(rows, n)
+    if boosted:
         out *= boost
     return out
 

@@ -7,6 +7,7 @@ __all__ = [
     "DivergenceError",
     "DegenerateSampleError",
     "MissingTableEntryError",
+    "QuadratureError",
 ]
 
 
@@ -30,3 +31,7 @@ class DegenerateSampleError(GwentropyError):
 
 class MissingTableEntryError(GwentropyError):
     """A critical-value lookup failed and on-the-fly simulation was disabled."""
+
+
+class QuadratureError(GwentropyError):
+    """A quadrature's integrand returned a value that is not finite."""

@@ -16,12 +16,14 @@ Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
 (n << 32) | r).  _replicate takes the replications in blocks of about
 16 384 values (rows x n), which bounds its memory at any n and B, and draws
-each row with the bits of its stream sampled on its own: inversion families
-(and the PH, PRH and Affine wrappers over them) from one array Philox block
-put through _quantile, Gamma's rejection sampler (and Affine over it) one
-stream at a time from one reused Philox.  A block is sorted and reduced
-row-wise by the kernel shared with statistic and the empirical estimators,
-empirical._gap_sums, and statistic's scalar tail finishes each row's T.
+each row with the bits of its stream sampled on its own, from an array
+Philox (Distribution._sample_streams): inversion families (and the PH, PRH
+and Affine wrappers over them) put one block of uniforms through _quantile,
+and Gamma (and Affine over it) replays its rejection rounds on every row
+at once, with ziggurat normals read from the same words.  A block is
+sorted and reduced row-wise by the kernel shared with statistic and the
+empirical estimators, empirical._gap_sums, and statistic's scalar tail
+finishes each row's T.
 The engine runs in the calling process; the workers argument of
 critical_values and power_study is accepted and ignored.
 """

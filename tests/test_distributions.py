@@ -1,6 +1,8 @@
 """Distribution families: shapes, inverses, sampling, residual moments."""
 
+import ctypes
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from gwentropy import _ziggurat, distributions
 from gwentropy.distributions import (
     Affine,
     Exponential,
@@ -20,8 +23,10 @@ from gwentropy.distributions import (
     SeededSampler,
     Uniform,
     Weibull,
+    _KI,
+    _WordBuffer,
     _philox_uniforms,
-    _stream_generators,
+    _philox_words,
     from_spec,
 )
 from gwentropy.errors import DivergenceError, GwentropyError
@@ -293,13 +298,137 @@ def test_philox_block_matches_numpy_philox(seed, streams, n):
         np.testing.assert_array_equal(row, SeededSampler(seed, stream).generator().random(n))
 
 
-def test_stream_generators_restart_each_stream():
-    # the reused generator must forget the previous stream's counter and buffer
-    streams = np.array([3, 3, 1 << 60], dtype=np.uint64)
-    for rng, stream in zip(_stream_generators(11, streams), streams.tolist()):
-        fresh = SeededSampler(11, stream).generator()
-        np.testing.assert_array_equal(rng.standard_normal(5), fresh.standard_normal(5))
-        np.testing.assert_array_equal(rng.random(3), fresh.random(3))
+def _words_drawn(rng: np.random.Generator) -> int:
+    """64-bit words a generator's Philox has handed out since it was made."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) + int(state["buffer_pos"]) - 4
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n=st.integers(1, 700),
+)
+@example(seed=0, streams=[(2 << 56) | (5 << 32)], n=1)
+def test_ziggurat_normals_match_numpy(seed, streams, n):
+    # numpy's Generator.standard_normal is the oracle, for the values and for
+    # the words they use; from a first buffer of one block, every row that
+    # needs more than four words is extended
+    streams = np.array(streams, dtype=np.uint64)
+    words = _WordBuffer(seed, streams, 4)
+    z, pos = words.normals(np.arange(streams.size), np.zeros(streams.size, dtype=np.int64), np.full(streams.size, n))
+    for row, end, stream in zip(z.reshape(-1, n), pos.tolist(), streams.tolist()):
+        rng = SeededSampler(seed, stream).generator()
+        np.testing.assert_array_equal(row, rng.standard_normal(n))
+        assert end == _words_drawn(rng)
+
+
+_U64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_F64 = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitGen(ctypes.Structure):
+    # numpy's bitgen_t, the function table a Generator draws through
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _U64), ("next_uint32", _U32),
+                ("next_double", _F64), ("next_raw", _U64)]
+
+
+_new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)(
+    ("PyCapsule_New", ctypes.pythonapi)
+)
+
+
+class _WordSource:
+    """A bit generator that hands numpy's Generator the given words, in order."""
+
+    def __init__(self, words):
+        self.words, self.used = [int(w) for w in words], 0
+
+        def word(_):
+            self.used += 1
+            return self.words[self.used - 1]
+
+        self._table = _BitGen(None, _U64(word), _U32(lambda s: word(s) >> 32),
+                              _F64(lambda s: (word(s) >> 11) * 2.0**-53), _U64(word))
+        self.capsule = _new_capsule(ctypes.addressof(self._table), b"BitGenerator", None)
+        self.lock = threading.Lock()
+
+
+def test_word_source_replays_philox():
+    stream_words = _philox_words(3, np.array([5], dtype=np.uint64), 1, 60)[0]
+    source = _WordSource(stream_words)
+    np.testing.assert_array_equal(
+        np.random.Generator(source).standard_normal(200), SeededSampler(3, 5).generator().standard_normal(200)
+    )
+
+
+def test_ziggurat_layer_thresholds_match_numpy(monkeypatch):
+    # each layer's threshold exactly: a first word with rabs = ki - 1 (fast
+    # path) and rabs = ki (slow path) of both signs, on numpy's own sampler;
+    # the filler words are fast-path draws whose double, 1/16, ends any tail
+    filler = (1 << 60) | 128
+    first = [
+        (rabs << 9) | (sign << 8) | idx
+        for idx, ki in enumerate(_KI.tolist())
+        for rabs in (ki - 1, ki) if rabs >= 0
+        for sign in (0, 1)
+    ]
+    words = np.array([[w] + [filler] * 15 for w in first], dtype=np.uint64)
+    monkeypatch.setattr(distributions, "_philox_words", lambda seed, streams, first_block, blocks: words)
+    rows = np.arange(len(first))
+    z, pos = _WordBuffer(0, np.zeros(rows.size, dtype=np.uint64), 16).normals(rows, 0 * rows, np.full(rows.size, 2))
+    for row, end, stream_words in zip(z.reshape(-1, 2), pos.tolist(), words):
+        source = _WordSource(stream_words)
+        np.testing.assert_array_equal(row, np.random.Generator(source).standard_normal(2))
+        assert end == source.used
+
+
+def test_ziggurat_slow_paths_are_taken(monkeypatch):
+    # a fixed case in which the wedge both accepts and rejects and the tail
+    # beyond R, of both signs, rejects a pair of doubles at least once
+    seen = []
+    slow_normals = _WordBuffer._slow_normals
+
+    def spy(self, rows, pos):
+        made, x, used = slow_normals(self, rows, pos)
+        seen.extend(zip((self.at(rows, pos) & np.uint64(0xFF)).tolist(), made.tolist(), used.tolist()))
+        return made, x, used
+
+    monkeypatch.setattr(_WordBuffer, "_slow_normals", spy)
+    streams = np.arange(300, dtype=np.uint64)
+    z, _ = _WordBuffer(7, streams, 4).normals(np.arange(300), np.zeros(300, dtype=np.int64), np.full(300, 500))
+    expected = [SeededSampler(7, s).generator().standard_normal(500) for s in range(300)]
+    np.testing.assert_array_equal(z, np.concatenate(expected))
+    wedge = {made for idx, made, _ in seen if idx}
+    tail = [used for idx, _, used in seen if not idx]
+    assert wedge == {True, False}
+    assert tail and max(tail) > 3
+    beyond = z[np.abs(z) > _ziggurat.R]
+    assert beyond.min() < 0.0 < beyond.max()
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("n,count,spare", [(3, 400, None), (2000, 3, 0.0)])
+def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
+    # with no spare share a row's first buffer holds its boost block, its
+    # first round and a few words more, which 2000 values overrun
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _philox_words(*args)
+
+    monkeypatch.setattr(distributions, "_philox_words", counted)
+    if spare is not None:
+        monkeypatch.setattr(distributions, "_GAMMA_SPARE", spare)
+    seed = 2**64 - 59
+    streams = np.uint64((2 << 56) | (n << 32)) | np.arange(count, dtype=np.uint64)
+    x = Gamma(shape)._sample_streams(seed, streams, n)
+    for row, stream in zip(x, streams.tolist()):
+        np.testing.assert_array_equal(row, Gamma(shape).sample_values(n, SeededSampler(seed, stream).generator()))
+    if spare == 0.0:
+        assert len(calls) > 1
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)

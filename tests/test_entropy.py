@@ -34,7 +34,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
-from gwentropy.errors import DivergenceError, GwentropyError
+from gwentropy.errors import DivergenceError, GwentropyError, QuadratureError
 
 ORD = EntropyOrder(0.26, 1.25)  # gamma = 0.51, delta = 0.99
 ORD2 = EntropyOrder(0.8, 1.1)  # gamma = 0.9,  delta = 0.3
@@ -253,6 +253,55 @@ def test_pareto_boundary_case_meets_rel_tol(monkeypatch):
     got = survival_integral(d, 0.15, 0.0, "quadrature")
     assert len(fallbacks) == 1
     assert got == pytest.approx(survival_integral(d, 0.15, 0.0, "closed"), rel=REL_TOL, abs=0.0)
+
+
+def test_non_finite_integrand_raises(monkeypatch):
+    # without the pdf = 0 guard the window integrand divides by the density
+    # where x(v) rounds below this support's bottom; integrate must refuse
+    # the inf, where tanhsinh alone would replace it by a finite neighbour
+    def unguarded(d, side, t, g, weighted):
+        log_w = math.log(float(d.sf(t) if side == "survival" else d.cdf(t)))
+
+        def integrand(x, v):
+            with np.errstate(divide="ignore"):
+                p = np.exp(g * (np.log(v) - log_w)) / d.pdf(x)
+            return x * p if weighted else p
+
+        return _quad.window_integral(d, side, t, integrand)
+
+    base, a, b = Uniform(0.1, 0.5), 2.1, 1.3
+    d = Affine(base, a, b)
+    # with the guard: the affine identity a**2 I_x + a b I_1 of the base at (t - b) / a
+    s = (2.0 - b) / a
+    exact = a * a * failure_integral(base, 0.51, s, "closed") + a * b * failure_integral(base, 0.51, s, "closed", weighted=False)
+    assert failure_integral(d, 0.51, 2.0, "quadrature") == pytest.approx(exact, rel=REL_TOL, abs=0.0)
+    monkeypatch.setattr(_quad, "_power_window", unguarded)
+    with pytest.raises(QuadratureError, match="not finite"):
+        failure_integral(d, 0.51, 2.0, "quadrature")
+
+
+def test_heavy_tail_window_where_isf_overflows():
+    # a Pareto tail of shape below 1 has isf(v) = v**(-1/shape) = inf at the
+    # outermost tanhsinh nodes, where pdf is 0: the weighted integrand must
+    # read 0 there, not inf * 0
+    d = Pareto(0.9, 1.0)
+    with np.errstate(over="ignore"):
+        assert float(d._isf(np.array(1e-300))) == math.inf
+    got = survival_integral(d, 2.5, 1.0, "quadrature")
+    assert got == pytest.approx(1.0 / (0.9 * 2.5 - 2.0), rel=REL_TOL, abs=0.0)
+    # PRH has no closed form, so auto runs the same quadrature; reference by
+    # 50-digit mpmath quadrature of x * sf(x)**2.5, sf = 1 - (1 - x**-0.9)**3
+    got = survival_integral(ProportionalReverseHazards(d, 3.0), 2.5, 1.0)
+    assert got == pytest.approx(42.5459320858228006592129267989, rel=REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("t,ref",[(20.0, 43.0603614612227422752720640772), (30.0, 62.6682045367206908084658782489)])
+def test_prh_deep_survival_meets_rel_tol(t, ref):
+    # sf(t) of PRH(Exponential(1), 5) is about 5 exp(-t): 1 - cdf would keep
+    # only its leading digits; references by 40-digit mpmath quadrature of
+    # x * (sf(x) / sf(t))**0.51 with sf = -expm1(5 log1p(-exp(-x)))
+    got = survival_integral(ProportionalReverseHazards(Exponential(1.0), 5.0), 0.51, t, "quadrature")
+    assert got == pytest.approx(ref, rel=REL_TOL, abs=0.0)
 
 
 @pytest.mark.parametrize("base,theta", [(Exponential(1.0), 5.0), (Weibull(0.7), 3.0)], ids=["exponential", "weibull"])

@@ -181,6 +181,23 @@ def test_critical_rows_and_power_count_pinned():
     assert [r.rejections for r in res] == [783, 1430, 1652]
 
 
+@pytest.mark.parametrize(
+    "alt,n,rejections",
+    [
+        (Gamma(5.0), 10, [1278, 1765, 1877]),
+        (Gamma(5.0), 50, [1998, 2000, 2000]),
+        (Gamma(0.5), 10, [1, 10, 23]),
+        (Affine(Gamma(5.0), 2.0, 0.5), 10, [1420, 1834, 1924]),
+    ],
+    ids=["gamma5-n10", "gamma5-n50", "gamma0.5-n10", "affine-gamma5-n10"],
+)
+def test_gamma_power_counts_pinned(alt, n, rejections):
+    # exact counts of the rejection sampler's path, recorded when Gamma was
+    # still sampled one stream at a time; no tolerance
+    res = power_study(alt, [n], cfg=TestConfig(replications=2000, seed=77))
+    assert [r.rejections for r in res] == rejections
+
+
 def test_replication_block_survives_zero_draw(monkeypatch):
     # a uniform draw may be exactly 0; it must map to the support bottom
     from gwentropy import distributions, gof
@@ -203,9 +220,11 @@ ENGINE_CASES = [
     pytest.param(ProportionalHazards(Pareto(3.0, 1.0), 2.0), id="ph-pareto"),
     pytest.param(Affine(Exponential(1.0), 2.0, 0.5), id="affine-exponential"),
     pytest.param(ProportionalReverseHazards(Uniform(0.0, 2.0), 3.0), id="prh-uniform"),
-    # rejection sampling: one stream at a time
+    # rejection sampling: ziggurat normals and uniforms from the same array Philox
     pytest.param(Gamma(5.0), id="gamma5"),
     pytest.param(Gamma(0.5), id="gamma0.5"),
+    pytest.param(Gamma(1.0), id="gamma1"),
+    pytest.param(Gamma(50.0), id="gamma50"),
     pytest.param(Affine(Gamma(5.0), 2.0, 0.5), id="affine-gamma5"),
 ]
 
