@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +334,18 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["measure"] == "gwse"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quadrature imports scipy.integrate only for the quad fallback, so the
+    # CLI starts without it
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
+    code = "import sys, gwentropy.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -1,9 +1,13 @@
 """Weighted entropy measures: closed forms, quadrature, dynamic versions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+import scipy.integrate
 from scipy import special
 from scipy.integrate import quad
 
@@ -225,34 +229,146 @@ def test_quadrature_meets_rel_tol_on_tiny_integrals():
         assert quad == pytest.approx(closed, rel=1e-10, abs=0.0)
 
 
-def test_integrate_falls_back_to_quad_per_element(monkeypatch):
-    # an element tanhsinh does not converge on is integrated again by quad;
-    # the other element keeps its tanhsinh value
-    real = _quad.tanhsinh
+def _with_fallbacks(call):
+    # the value of call() and how many integrals it left to quad, which
+    # integrate imports from scipy.integrate when it falls back
+    with mock.patch.object(scipy.integrate, "quad", wraps=scipy.integrate.quad) as spy:
+        return call(), spy.call_count
 
-    def second_fails(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.status[1] = -2
-        res.integral[1] = math.nan
-        return res
 
-    monkeypatch.setattr(_quad, "tanhsinh", second_fails)
-    got = integrate(lambda x, p: x**p, 0.0, [1.0, 2.0], args=(np.array([0.5, -0.5]),))
-    want = quad(lambda x: x**-0.5, 0.0, 2.0, epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS)[0]
-    assert got[0] == pytest.approx(2.0 / 3.0, rel=REL_TOL)
+def test_integrate_falls_back_to_quad_per_element():
+    # tanh-sinh converges only algebraically on an interior cusp, so the
+    # second element is still short of REL_TOL at the last level and is
+    # integrated again by quad; the first keeps the rule's own value
+    def f(x, c):
+        return np.sqrt(np.abs(x - c))
+
+    alone = integrate(f, 0.0, 1.0, args=(0.0,))
+    got, fallbacks = _with_fallbacks(lambda: integrate(f, 0.0, [1.0, 2.0], args=(np.array([0.0, 0.7]),)))
+    want = quad(lambda x: float(f(np.asarray(x), 0.7)), 0.0, 2.0, epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS)[0]
+    assert fallbacks == 1
+    assert got[0] == alone == pytest.approx(2.0 / 3.0, rel=REL_TOL)
     assert got[1] == want
 
 
-def test_pareto_boundary_case_meets_rel_tol(monkeypatch):
+def test_pareto_boundary_case_meets_rel_tol():
     # shape * gamma = 2.3 leaves about v**-0.98 at the window's open end,
-    # where tanhsinh stops at its last level and the quad fallback takes over
-    fallbacks = []
-    real = _quad.quad
-    monkeypatch.setattr(_quad, "quad", lambda *a, **k: fallbacks.append(a) or real(*a, **k))
+    # where tanh-sinh stops at its last level and the quad fallback takes over
     d = Pareto(2.3 / 0.15, 1.0)
-    got = survival_integral(d, 0.15, 0.0, "quadrature")
-    assert len(fallbacks) == 1
+    got, fallbacks = _with_fallbacks(lambda: survival_integral(d, 0.15, 0.0, "quadrature"))
+    assert fallbacks == 1
     assert got == pytest.approx(survival_integral(d, 0.15, 0.0, "closed"), rel=REL_TOL, abs=0.0)
+
+
+def _tanhsinh_integrate(f, a, b, args=()):
+    # the reference: the same rule run by scipy.integrate.tanhsinh, with the
+    # same checks and the same quad fallback
+    a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), *args)
+
+    def inside(x, a, b, *args):
+        edge = (x <= a) | (x >= b)
+        fx = f(np.where(edge, (a + b) / 2.0, x), *args)
+        assert np.all(np.isfinite(fx))
+        return np.where(edge, 0.0, fx)
+
+    res = scipy.integrate.tanhsinh(inside, a, b, args=(a, b, *args), rtol=REL_TOL, atol=0.0, minlevel=3)
+    out = np.array(res.integral, dtype=float)
+    for i in np.ndindex(out.shape):
+        if res.status[i] != 0:
+            row = (a[i], b[i], *(arg[i] for arg in args))
+            out[i] = scipy.integrate.quad(
+                lambda x: float(inside(np.asarray(x), *row)), a[i], b[i], epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS
+            )[0]
+    return out
+
+
+def _assert_matches_tanhsinh(call, rtol=1e-13):
+    # the same value, and the same integrals left to quad (quad alone would
+    # meet a smooth reference to about 1e-15 as well); call must reach
+    # integrate through the _quad module
+    got, fallbacks = _with_fallbacks(call)
+    with mock.patch.object(_quad, "integrate", _tanhsinh_integrate):
+        want, want_fallbacks = _with_fallbacks(call)
+    assert fallbacks == want_fallbacks
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    return got
+
+
+_BASES = st.one_of(
+    st.builds(Exponential, st.floats(0.2, 5.0)),
+    st.builds(Pareto, st.floats(0.5, 20.0), st.floats(0.5, 2.0)),
+    st.builds(Weibull, st.floats(0.3, 4.0)),
+    st.builds(Gamma, st.floats(0.3, 8.0)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(0.0, 2.0), st.floats(0.1, 3.0)),
+    st.builds(Power, st.floats(0.2, 5.0), st.floats(0.5, 3.0)),
+)
+_FAMILIES = st.one_of(
+    _BASES,
+    st.builds(ProportionalHazards, _BASES, st.floats(0.3, 3.0)),
+    st.builds(ProportionalReverseHazards, _BASES, st.floats(0.3, 3.0)),
+)
+
+
+@given(d=_FAMILIES, side=st.sampled_from(["survival", "failure"]), q=st.floats(0.01, 0.99), g=st.floats(0.2, 3.0), weighted=st.booleans())
+# split windows: sf(t) > 3/4 on the survival side, cdf(t) > 3/4 on the failure side
+@example(d=Exponential(1.0), side="survival", q=0.1, g=0.51, weighted=True)
+@example(d=Weibull(0.7), side="failure", q=0.9, g=1.5, weighted=False)
+@example(d=ProportionalReverseHazards(Pareto(4.0, 1.0), 2.0), side="survival", q=0.2, g=2.0, weighted=True)
+def test_integrate_matches_scipy_tanhsinh(d, side, q, g, weighted):
+    t = float(d.quantile(q))
+    integral = survival_integral if side == "survival" else failure_integral
+    try:
+        _assert_matches_tanhsinh(lambda: integral(d, g, t, "quadrature", weighted))
+    except DivergenceError:  # a Pareto tail too heavy for g
+        assume(False)
+
+
+@pytest.mark.parametrize(
+    "f,a,b,p,exact",
+    [
+        # scipy stops these at levels 3, 3, 6, 7, 8, 9 and 10 and leaves the
+        # last to quad
+        (
+            lambda x, k: 1.0 / (k + x * x), -1.0, np.linspace(0.5, 2.0, 8),
+            np.array([1.0, 0.5, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5]),
+            lambda k, b: (np.arctan(b / np.sqrt(k)) + np.arctan(1.0 / np.sqrt(k))) / np.sqrt(k),
+        ),
+        # the d4 term, |f w| at the outermost node, is large near p = -1:
+        # levels 3, 3, 3 and 6, then quad
+        (lambda x, p: x**p, 0.0, 1.0, np.array([-0.3, -0.9, -0.96, -0.97, -0.975, -0.98, -0.99]), lambda p, b: 1.0 / (p + 1.0)),
+        # levels 3 and 4, where the level-3 estimate decides
+        (lambda x, k: np.exp(-k * x), 0.0, 1.0, np.array([0.1, 1.0, 10.0, 100.0, 210.0, 1000.0]), lambda k, b: -np.expm1(-k) / k),
+    ],
+    ids=["lorentzian", "power", "exponential"],
+)
+def test_integrate_matches_scipy_tanhsinh_level_by_level(f, a, b, p, exact):
+    # one call each, so the later levels and the shrinking set of live
+    # elements are compared too
+    got = _assert_matches_tanhsinh(lambda: _quad.integrate(f, a, b, args=(p,)))
+    # the error estimate lets x**-0.97 stop 5.3e-10 off, in scipy's rule too
+    np.testing.assert_allclose(got, exact(p, b), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "d,inverse,exact",
+    [
+        # integral of x**k * x**(-5 g) over [1, inf)
+        (Pareto(5.0, 1.0), "_isf", lambda k, g: 1.0 / (5.0 * g - k - 1.0)),
+        # integral of x**k * (1 - sqrt(x))**g over [0, 1], u = sqrt(x)
+        (Power(0.5, 1.0), "_quantile", lambda k, g: 2.0 * special.beta(2.0 * (k + 1.0), g + 1.0)),
+    ],
+    ids=["pareto", "power"],
+)
+def test_outermost_nodes_raise_no_warning(d, inverse, exact):
+    # nodes within 1e-300 of v = 0 overflow Pareto's pdf (x = isf(v) near
+    # 1e60) and divide by zero in Power's (x = quantile(v) = 0); integrate
+    # silences them around f and checks that f is finite instead
+    with pytest.warns(RuntimeWarning):
+        d.pdf(getattr(d, inverse)(np.array([1e-300])))
+    for k, weighted in ((1, True), (0, False)):
+        got = survival_integral(d, 0.51, 0.0, "quadrature", weighted)
+        assert got == pytest.approx(exact(k, 0.51), rel=REL_TOL, abs=0.0)
 
 
 def test_non_finite_integrand_raises(monkeypatch):
