@@ -8,6 +8,10 @@ n - 1 gaps between consecutive order statistics, and the sum extended by the
 leading segment [0, x_(1)) where the empirical survival function is still 1.
 On the failure side the leading segment has empirical cdf 0 and contributes
 nothing, so the variants coincide there.
+
+Both estimators, gof.statistic and the replication engine reduce through one
+kernel, _gap_sums, which streams the sorted sample in chunks of _CHUNK_VALUES
+gaps; its memory beyond the sample is one array of n - 1 terms.
 """
 
 from __future__ import annotations
@@ -37,14 +41,14 @@ class Sample:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float).ravel()
+        arr = np.sort(np.asarray(values, dtype=float), axis=None)
         if arr.size == 0:
             raise GwentropyError("sample is empty")
-        if not np.all(np.isfinite(arr)):
+        # sorted, NaN and +inf come last and -inf first; "finite" is reported first
+        if not (math.isfinite(arr[0]) and math.isfinite(arr[-1])):
             raise GwentropyError("sample values must be finite")
-        if np.any(arr < 0.0):
+        if arr[0] < 0.0:
             raise GwentropyError("sample values must be nonnegative")
-        arr = np.sort(arr)
         arr.flags.writeable = False
         self.values = arr
 
@@ -53,8 +57,8 @@ class Sample:
         return self.values.size
 
     def scaled(self, factor: float) -> "Sample":
-        if factor <= 0.0:
-            raise GwentropyError("scale factor must be positive")
+        if not 0.0 < factor < math.inf:
+            raise GwentropyError("scale factor must be positive and finite")
         return Sample(self.values * factor)
 
     def __len__(self) -> int:
@@ -83,22 +87,36 @@ def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:
     return Sample(d.sample_values(n, sampler.generator()))
 
 
-def _survival_weights(n: int, gamma: float) -> np.ndarray:
-    """Weight (1 - i/n) ** gamma of gap i = 1 .. n-1 on the survival side."""
-    i = np.arange(1, n)
-    return (1.0 - i / n) ** gamma
+# gaps per chunk of the estimator kernel, and values (rows x n) per block of
+# the replication engine: a chunk's temporaries stay in cache at any n
+_CHUNK_VALUES = 16384
 
 
-def _gap_sums(x: np.ndarray, weights: np.ndarray, include_head: bool) -> np.ndarray:
-    """Weighted half-gap sums along the last axis of sorted x: the sum of
-    weights[i] * (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2 if include_head.
+def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -> np.ndarray:
+    """Weighted half-gap sums along the last axis of sorted x: the sum over
+    gaps i = 1 .. n-1 of w_i * (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2
+    if include_head, with w_i = (1 - i/n) ** gamma on the survival side and
+    (i/n) ** gamma on the failure side.
 
     The one kernel behind empirical_gwse, empirical_gwfe, gof.statistic and
-    the replication engine, which passes one sorted sample per row; a row's
-    sum has the bits of the same sample reduced on its own.
+    the replication engine, which passes one sorted sample per row.  Terms
+    and weights are formed _CHUNK_VALUES gaps at a time into one terms array,
+    reduced once, so a sum has the bits of the whole-array formula and a
+    row's sum has the bits of the same sample reduced on its own.
     """
-    sq = x * x
-    total = ((sq[..., 1:] - sq[..., :-1]) / 2.0 * weights).sum(axis=-1)
+    n = x.shape[-1]
+    terms = np.empty(x.shape[:-1] + (n - 1,))
+    for lo in range(0, n - 1, _CHUNK_VALUES):
+        hi = min(lo + _CHUNK_VALUES, n - 1)
+        xc = x[..., lo : hi + 1]
+        sq = xc * xc
+        q = np.arange(lo + 1, hi + 1) / n
+        weights = (1.0 - q) ** gamma if survival else q**gamma
+        chunk = terms[..., lo:hi]
+        np.subtract(sq[..., 1:], sq[..., :-1], out=chunk)
+        chunk /= 2.0
+        chunk *= weights
+    total = terms.sum(axis=-1)
     if include_head:
         total = total + x[..., 0] * x[..., 0] / 2.0
     return total
@@ -124,8 +142,7 @@ def empirical_gwse(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    weights = _survival_weights(s.n, order.gamma)
-    return _log_gap_sum(_gap_sums(s.values, weights, variant is EstimatorVariant.FULL_STEP)) / order.delta
+    return _log_gap_sum(_gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)) / order.delta
 
 
 def empirical_gwfe(
@@ -141,5 +158,4 @@ def empirical_gwfe(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    i = np.arange(1, s.n)
-    return _log_gap_sum(_gap_sums(s.values, (i / s.n) ** order.gamma, False)) / order.delta
+    return _log_gap_sum(_gap_sums(s.values, order.gamma, False, False)) / order.delta

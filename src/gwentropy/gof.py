@@ -15,7 +15,8 @@ One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
 (n << 32) | r).  _replicate takes the replications in blocks of about
-16 384 values (rows x n), which bounds its memory at any n and B, and draws
+empirical._CHUNK_VALUES = 16 384 values (rows x n), the kernel's own chunk,
+which bounds its memory at any n and B, and draws
 each row with the bits of its stream sampled on its own, from an array
 Philox (Distribution._sample_streams): inversion families (and the PH, PRH
 and Affine wrappers over them) put one block of uniforms through _quantile,
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, Exponential
-from .empirical import EstimatorVariant, Sample, _gap_sums, _log_gap_sum, _survival_weights
+from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -138,9 +139,7 @@ def statistic(
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
     mean = float(s.values.mean())
-    weights = _survival_weights(s.n, order.gamma)
-    include_head = variant is EstimatorVariant.FULL_STEP
-    total = _gap_sums(s.values, weights, include_head)
+    total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
     estimate, plug_in, t = _t_parts(total, mean, order.gamma, order.delta)
     return TestStatistic(
         lambda_hat=1.0 / mean,
@@ -154,14 +153,9 @@ def statistic(
 # ---------- replication engine ----------
 
 
-# values (rows x n) per block of the engine: bounds its memory at any n and B
-_CHUNK_VALUES = 16384
-
-
 def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> np.ndarray:
     """T for replications [start, stop) of size-n samples drawn from d."""
     gamma, delta = cfg.order.gamma, cfg.order.delta
-    weights = _survival_weights(n, gamma)
     include_head = cfg.variant is EstimatorVariant.FULL_STEP
     prefix = np.uint64((tag << 56) | (n << 32))
     rows = max(1, _CHUNK_VALUES // n)
@@ -170,7 +164,7 @@ def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, s
         streams = prefix | np.arange(lo, min(lo + rows, stop), dtype=np.uint64)
         x = d._sample_streams(cfg.seed, streams, n)
         x.sort(axis=1)
-        totals, means = _gap_sums(x, weights, include_head).tolist(), x.mean(axis=1).tolist()
+        totals, means = _gap_sums(x, gamma, True, include_head).tolist(), x.mean(axis=1).tolist()
         out.extend(_t_parts(total, mean, gamma, delta)[2] for total, mean in zip(totals, means))
     return np.array(out)
 

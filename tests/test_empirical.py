@@ -1,9 +1,12 @@
 """Empirical estimators from order statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gwentropy import (
     EntropyOrder,
@@ -13,8 +16,10 @@ from gwentropy import (
     empirical_gwse,
     gwse,
     sample,
+    statistic,
 )
 from gwentropy.distributions import Exponential, SeededSampler, Uniform
+from gwentropy.empirical import _CHUNK_VALUES, _gap_sums
 from gwentropy.errors import DegenerateSampleError, GwentropyError
 
 ORD = EntropyOrder(0.26, 1.25)
@@ -32,27 +37,120 @@ def test_sample_sorts_and_freezes():
 
 
 def test_sample_validation():
-    with pytest.raises(GwentropyError):
+    with pytest.raises(GwentropyError, match="empty"):
         Sample([])
-    with pytest.raises(GwentropyError):
+    with pytest.raises(GwentropyError, match="nonnegative"):
         Sample([1.0, -0.2])
-    with pytest.raises(GwentropyError):
+    with pytest.raises(GwentropyError, match="finite"):
         Sample([1.0, math.nan])
-    with pytest.raises(GwentropyError):
+    with pytest.raises(GwentropyError, match="finite"):
         Sample([1.0, math.inf])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-math.inf], [-1.0, math.nan], [math.nan, -1.0], [-1.0, math.inf], [math.inf], [math.nan]],
+)
+def test_sample_reports_finite_before_nonnegative(values):
+    # a negative value beside a non-finite one is reported as non-finite
+    with pytest.raises(GwentropyError, match="^sample values must be finite$"):
+        Sample(values)
+
+
+def test_sample_accepts_negative_zero_and_leaves_input_alone():
+    s = Sample([1.0, -0.0, 0.5])
+    np.testing.assert_array_equal(s.values, [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError):
+        s.values[0] = 9.0
+    # a float64 array passes through asarray as a view; it must not be sorted in place
+    x = np.array([3.0, 1.0, 2.0])
+    Sample(x)
+    np.testing.assert_array_equal(x, [3.0, 1.0, 2.0])
 
 
 def test_sample_scaled():
     s = Sample([1.0, 3.0]).scaled(2.0)
     np.testing.assert_array_equal(s.values, [2.0, 6.0])
-    with pytest.raises(GwentropyError):
-        Sample([1.0]).scaled(0.0)
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_sample_scaled_rejects_bad_factor(factor):
+    with pytest.raises(GwentropyError, match="^scale factor must be positive and finite$"):
+        Sample([1.0]).scaled(factor)
 
 
 def test_sample_from_distribution_is_seeded():
     a = sample(Exponential(1.0), 50, SeededSampler(7, 0))
     b = sample(Exponential(1.0), 50, SeededSampler(7, 0))
     np.testing.assert_array_equal(a.values, b.values)
+
+
+# ---------- the gap-sum kernel ----------
+
+
+def _gap_sums_reference(x, gamma, survival, include_head):
+    """The whole-array formula: every weight and term at once, one reduction."""
+    n = x.shape[-1]
+    i = np.arange(1, n)
+    weights = (1.0 - i / n) ** gamma if survival else (i / n) ** gamma
+    sq = x * x
+    total = ((sq[..., 1:] - sq[..., :-1]) / 2.0 * weights).sum(axis=-1)
+    if include_head:
+        total = total + x[..., 0] * x[..., 0] / 2.0
+    return total
+
+
+def _sorted_exponential(shape, stream):
+    x = SeededSampler(11, stream).generator().exponential(size=shape)
+    x.sort(axis=-1)
+    return x
+
+
+_SIDES = [(survival, head) for survival in (True, False) for head in (False, True)]
+
+
+@pytest.mark.parametrize("gaps", [1, 2, _CHUNK_VALUES - 1, _CHUNK_VALUES, _CHUNK_VALUES + 1, 2 * _CHUNK_VALUES + 1, 10**6 + 2])
+def test_gap_sums_match_whole_array_formula(gaps):
+    # chunk edges fall on, before and after the last gap; the sums must keep every bit
+    x = _sorted_exponential(gaps + 1, gaps)
+    for gamma in (ORD.gamma, 2.0):
+        for survival, head in _SIDES:
+            assert _gap_sums(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
+
+
+@pytest.mark.parametrize("shape", [(_CHUNK_VALUES // 4, 4), (_CHUNK_VALUES // 20, 20), (_CHUNK_VALUES // 100, 100), (1, _CHUNK_VALUES + 7)])
+def test_gap_sums_match_whole_array_formula_row_wise(shape):
+    # blocks shaped as the replication engine passes them, and one row wider than a chunk
+    x = _sorted_exponential(shape, shape[1])
+    for survival, head in _SIDES:
+        np.testing.assert_array_equal(_gap_sums(x, ORD.gamma, survival, head), _gap_sums_reference(x, ORD.gamma, survival, head))
+
+
+@given(gamma=st.floats(1e-3, 20.0), n=st.integers(2, 3 * _CHUNK_VALUES), survival=st.booleans(), head=st.booleans())
+@example(gamma=0.5, n=_CHUNK_VALUES + 1, survival=True, head=False)
+@example(gamma=1.0, n=2 * _CHUNK_VALUES + 1, survival=False, head=True)
+def test_gap_sums_match_whole_array_formula_drawn(gamma, n, survival, head):
+    x = _sorted_exponential(n, 7)
+    assert _gap_sums(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [lambda s: empirical_gwse(s, ORD), lambda s: empirical_gwfe(s, ORD), lambda s: statistic(s, ORD)],
+    ids=["empirical_gwse", "empirical_gwfe", "statistic"],
+)
+def test_estimator_peak_memory_is_about_one_sample(estimate):
+    # the kernel holds one array of n - 1 terms; everything else is chunk-sized
+    n = 10**6
+    s = Sample(SeededSampler(5, 0).generator().exponential(size=n))
+    estimate(s)  # first call outside the trace: lazy imports and caches
+    tracemalloc.start()
+    try:
+        estimate(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * 8
 
 
 # ---------- survival-side estimator ----------
