@@ -709,15 +709,23 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> np.ndarray:
     """The 4 * blocks words of each row's Philox stream from counter first_block
     on (an int, or one per row), as SeededSampler(seed, streams[i]).generator()
-    emits them: for counters 1, 2, ..., the four words of each ten-round block."""
-    rows = streams.size
-    first = np.asarray(first_block, dtype=np.uint64).reshape(-1, 1)
-    c0 = np.broadcast_to(first + np.arange(blocks, dtype=np.uint64), (rows, blocks))
-    c1 = c2 = c3 = np.zeros((rows, blocks), dtype=np.uint64)
-    k0, k1 = seed & 0xFFFFFFFFFFFFFFFF, streams.astype(np.uint64).reshape(rows, 1)
-    for i in range(10):
-        if i:  # Weyl key bump; uint64 arrays wrap, Python ints are masked
-            k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF, k1 + np.uint64(_PHILOX_W[1])
+    emits them: for counters 1, 2, ..., the four words of each ten-round block.
+
+    The counter enters with c1 = c2 = c3 = 0, so round 1 multiplies only the
+    counters, of shape (1 or rows, blocks), and leaves c0 = k0 and c1 = 0;
+    round 2's c0 product is then one Python-int multiply."""
+    rows, mask = streams.size, 0xFFFFFFFFFFFFFFFF
+    counters = np.asarray(first_block, dtype=np.uint64).reshape(-1, 1) + np.arange(blocks, dtype=np.uint64)
+    k0, k1 = seed & mask, streams.astype(np.uint64).reshape(rows, 1)
+    hi0, lo0 = _mulhilo(_PHILOX_M[0], counters)
+    c2, c3 = hi0 ^ k1, lo0
+    p0 = _PHILOX_M[0] * k0
+    # Weyl key bump; uint64 arrays wrap, Python ints are masked
+    k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
+    hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+    c0, c1, c2, c3 = hi1 ^ np.uint64(k0), lo1, np.uint64(p0 >> 64) ^ c3 ^ k1, np.uint64(p0 & mask)
+    for _ in range(8):
+        k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0

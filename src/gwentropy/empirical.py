@@ -44,6 +44,10 @@ class Sample:
         arr = np.sort(np.asarray(values, dtype=float), axis=None)
         if arr.size == 0:
             raise GwentropyError("sample is empty")
+        self._keep(arr)
+
+    def _keep(self, arr: np.ndarray) -> None:
+        """Check the ends of sorted arr and store it read-only."""
         # sorted, NaN and +inf come last and -inf first; "finite" is reported first
         if not (math.isfinite(arr[0]) and math.isfinite(arr[-1])):
             raise GwentropyError("sample values must be finite")
@@ -59,7 +63,13 @@ class Sample:
     def scaled(self, factor: float) -> "Sample":
         if not 0.0 < factor < math.inf:
             raise GwentropyError("scale factor must be positive and finite")
-        return Sample(self.values * factor)
+        # a positive factor keeps the order, so the product is not sorted again;
+        # overflow to inf fails the finite check
+        out = Sample.__new__(Sample)
+        with np.errstate(over="ignore"):
+            arr = self.values * factor
+        out._keep(arr)
+        return out
 
     def __len__(self) -> int:
         return self.n
@@ -122,11 +132,16 @@ def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -
     return total
 
 
-def _log_gap_sum(total: float) -> float:
-    """Log of one gap sum; math.log, not np.log, keeps the simulated tables' bits."""
-    if not total > 0.0:
+def _mapped(f, a: np.ndarray) -> np.ndarray:
+    """f (math.log or math.exp) on each element of a, as a float array."""
+    return np.fromiter(map(f, a.tolist()), float, a.size)
+
+
+def _log_gap_sum(totals: np.ndarray) -> np.ndarray:
+    """Log of each gap sum; math.log, not np.log, keeps the simulated tables' bits."""
+    if not totals.min() > 0.0:  # a NaN minimum fails too
         raise DegenerateSampleError("empirical integral is zero; sample carries no spread")
-    return math.log(total)
+    return _mapped(math.log, totals)
 
 
 def empirical_gwse(
@@ -142,7 +157,8 @@ def empirical_gwse(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    return _log_gap_sum(_gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)) / order.delta
+    total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
+    return _log_gap_sum(total[None]).item() / order.delta
 
 
 def empirical_gwfe(
@@ -158,4 +174,4 @@ def empirical_gwfe(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    return _log_gap_sum(_gap_sums(s.values, order.gamma, False, False)) / order.delta
+    return _log_gap_sum(_gap_sums(s.values, order.gamma, False, False)[None]).item() / order.delta

@@ -23,8 +23,9 @@ and Affine wrappers over them) put one block of uniforms through _quantile,
 and Gamma (and Affine over it) replays its rejection rounds on every row
 at once, with ziggurat normals read from the same words.  A block is
 sorted and reduced row-wise by the kernel shared with statistic and the
-empirical estimators, empirical._gap_sums, and statistic's scalar tail
-finishes each row's T.
+empirical estimators, empirical._gap_sums, and _t_parts, statistic's own
+tail, finishes the whole block's T with math.log and math.exp mapped over
+its rows.
 The engine runs in the calling process; the workers argument of
 critical_values and power_study is accepted and ignored.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution, Exponential
-from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
+from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum, _mapped
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -117,15 +118,20 @@ class PowerResult:
 # ---------- statistic ----------
 
 
-def _t_parts(total: float, mean: float, gamma: float, delta: float) -> tuple[float, float, float]:
-    """Estimate, plug-in -2 * log(gamma / mean) / delta and T from a sample's gap sum and mean.
+def _t_parts(
+    totals: np.ndarray, means: np.ndarray, gamma: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates, plug-ins -2 * log(gamma / mean) / delta and T of samples
+    from their gap sums and means, one array element per sample.
 
-    Scalar on purpose: np.log / np.exp differ from math.log / math.exp in the
-    last bit on some inputs, and the simulated tables keep these bits.
+    The logs and exponentials are math.log and math.exp mapped over the
+    arrays: np.log / np.exp differ from them in the last bit on some inputs,
+    and the simulated tables keep these bits.  The arithmetic in between is
+    numpy's, the same IEEE operations in the same order as on Python floats.
     """
-    estimate = _log_gap_sum(total) / delta
-    plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
-    return estimate, plug_in, math.exp(-abs(estimate - plug_in))
+    estimate = _log_gap_sum(totals) / delta
+    plug_in = -2.0 * (math.log(gamma) - _mapped(math.log, means)) / delta
+    return estimate, plug_in, _mapped(math.exp, -abs(estimate - plug_in))
 
 
 def statistic(
@@ -138,11 +144,11 @@ def statistic(
         order = EntropyOrder(0.26, 1.25)
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
-    mean = float(s.values.mean())
+    mean = s.values.mean()
     total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
-    estimate, plug_in, t = _t_parts(total, mean, order.gamma, order.delta)
+    estimate, plug_in, t = (v.item() for v in _t_parts(total[None], mean[None], order.gamma, order.delta))
     return TestStatistic(
-        lambda_hat=1.0 / mean,
+        lambda_hat=1.0 / float(mean),
         estimate=estimate,
         plug_in=plug_in,
         distance=abs(estimate - plug_in),
@@ -159,14 +165,13 @@ def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, s
     include_head = cfg.variant is EstimatorVariant.FULL_STEP
     prefix = np.uint64((tag << 56) | (n << 32))
     rows = max(1, _CHUNK_VALUES // n)
-    out = []
+    out = np.empty(stop - start)
     for lo in range(start, stop, rows):
-        streams = prefix | np.arange(lo, min(lo + rows, stop), dtype=np.uint64)
-        x = d._sample_streams(cfg.seed, streams, n)
+        hi = min(lo + rows, stop)
+        x = d._sample_streams(cfg.seed, prefix | np.arange(lo, hi, dtype=np.uint64), n)
         x.sort(axis=1)
-        totals, means = _gap_sums(x, gamma, True, include_head).tolist(), x.mean(axis=1).tolist()
-        out.extend(_t_parts(total, mean, gamma, delta)[2] for total, mean in zip(totals, means))
-    return np.array(out)
+        out[lo - start : hi - start] = _t_parts(_gap_sums(x, gamma, True, include_head), x.mean(axis=1), gamma, delta)[2]
+    return out
 
 
 def _sample_sizes(n_values) -> list[int]:

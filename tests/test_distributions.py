@@ -298,6 +298,25 @@ def test_philox_block_matches_numpy_philox(seed, streams, n):
         np.testing.assert_array_equal(row, SeededSampler(seed, stream).generator().random(n))
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(2, 40)), min_size=1, max_size=4),
+    blocks=st.integers(1, 6),
+)
+@example(seed=2**64 - 1, rows=[(2**64 - 1, 2)], blocks=1)
+@example(seed=2**64 - 1, rows=[(2**64 - 1, 7), (0, 3)], blocks=3)
+def test_philox_words_from_per_row_counters_match_numpy_philox(seed, rows, blocks):
+    # _WordBuffer.reserve's path: row i starts at its own counter first[i] > 1,
+    # the words numpy's Philox gives after it is advanced by first[i] - 1 blocks
+    streams, first = (np.array(col, dtype=np.uint64) for col in zip(*rows))
+    words = _philox_words(seed, streams, first, blocks)
+    assert words.shape == (len(rows), 4 * blocks)
+    for row, (stream, start) in zip(words, rows):
+        bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        bits.advance(start - 1)
+        np.testing.assert_array_equal(row, bits.random_raw(4 * blocks))
+
+
 def _words_drawn(rng: np.random.Generator) -> int:
     """64-bit words a generator's Philox has handed out since it was made."""
     state = rng.bit_generator.state

@@ -79,6 +79,22 @@ def test_sample_scaled_rejects_bad_factor(factor):
         Sample([1.0]).scaled(factor)
 
 
+@given(
+    values=st.lists(st.floats(0.0, 1e100), min_size=1, max_size=60),
+    factor=st.floats(1e-100, 1e100),
+)
+@example(values=[0.0, 5e-324, 1.0], factor=0.5)
+def test_sample_scaled_matches_sorting_the_product(values, factor):
+    # scaled skips the sort; the product of sorted values must already be sorted
+    s = Sample(values)
+    np.testing.assert_array_equal(s.scaled(factor).values.view(np.uint64), Sample(s.values * factor).values.view(np.uint64))
+
+
+def test_sample_scaled_overflow_raises():
+    with pytest.raises(GwentropyError, match="^sample values must be finite$"):
+        Sample([2.0, 1e300]).scaled(1e10)
+
+
 def test_sample_from_distribution_is_seeded():
     a = sample(Exponential(1.0), 50, SeededSampler(7, 0))
     b = sample(Exponential(1.0), 50, SeededSampler(7, 0))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwentropy import (
     CriticalTable,
@@ -29,7 +31,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
-from gwentropy.errors import GwentropyError, MissingTableEntryError
+from gwentropy.errors import DegenerateSampleError, GwentropyError, MissingTableEntryError
 
 ORD = EntropyOrder(0.26, 1.25)
 
@@ -64,6 +66,19 @@ def test_t_value_scale_invariant():
     base = statistic(s).t_value
     for c in (0.01, 0.7, 40.0):
         assert statistic(s.scaled(c)).t_value == pytest.approx(base, abs=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.floats(0.3, 5.0),
+    n=st.integers(2, 200),
+    c=st.floats(1e-3, 1e3),
+)
+def test_t_value_scale_invariant_property(seed, shape, n, c):
+    # both terms shift by 2 * log(c) / delta; only the rounding of c * x and
+    # of the sums is left, a few ulp of T
+    s = Sample(Weibull(shape).sample_values(n, SeededSampler(seed, 3).generator()))
+    assert abs(statistic(s.scaled(c)).t_value - statistic(s).t_value) <= 1e-13
 
 
 def test_statistic_custom_order_and_variant():
@@ -212,6 +227,43 @@ def test_replication_block_survives_zero_draw(monkeypatch):
     t = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
     assert len(blocks) == 1  # the engine drew its uniforms through the patched block
     assert np.all((t > 0.0) & (t <= 1.0))
+
+
+@pytest.mark.parametrize("constant_rows", [[0, 1, 2], [1]])
+def test_replication_block_with_zero_gap_sum_raises(monkeypatch, constant_rows):
+    # a constant row has no spread: the whole block fails, as a lone sample
+    # fails in statistic, rather than giving that row a NaN or 1.0
+    from gwentropy import distributions, gof
+
+    def uniforms(seed, streams, n):
+        u = np.tile(np.linspace(0.1, 0.9, n), (streams.size, 1))
+        u[constant_rows] = 0.5
+        return u
+
+    monkeypatch.setattr(distributions, "_philox_uniforms", uniforms)
+    with pytest.raises(DegenerateSampleError):
+        gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
+
+
+def _scalar_t_parts(total, mean, gamma, delta):
+    # the per-sample formula on Python floats: the reference for the block tail
+    estimate = math.log(total) / delta
+    plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
+    return estimate, plug_in, math.exp(-abs(estimate - plug_in))
+
+
+@pytest.mark.parametrize("n", [4, 20, 100])
+def test_block_tail_matches_scalar_formula(n):
+    # a whole engine block's estimates, plug-ins and T, bit for bit
+    from gwentropy.empirical import _gap_sums
+    from gwentropy.gof import _t_parts
+
+    streams = np.uint64((1 << 56) | (n << 32)) | np.arange(16384 // n, dtype=np.uint64)
+    x = Exponential(1.0)._sample_streams(0, streams, n)
+    x.sort(axis=1)
+    totals, means = _gap_sums(x, ORD.gamma, True, False), x.mean(axis=1)
+    expected = [_scalar_t_parts(t, m, ORD.gamma, ORD.delta) for t, m in zip(totals.tolist(), means.tolist())]
+    assert [part.tolist() for part in _t_parts(totals, means, ORD.gamma, ORD.delta)] == [list(col) for col in zip(*expected)]
 
 
 ENGINE_CASES = [
