@@ -7,8 +7,8 @@ All integrals reduce to one of two shapes:
 
 with weight w(x) = x (weighted measures) or w(x) = 1.  ``survival_integral``
 and ``failure_integral`` are the one place that checks the domain and the
-method and picks the route: a family's own closed form
-(``Distribution._survival_closed`` / ``_failure_closed``) or quadrature.
+method and picks the route: a distribution's own closed form (``_survival_closed``
+/ ``_failure_closed``, a wrapper's taken from its base) or quadrature.
 
 Quadrature is always taken in probability space by ``window_integral``:
 v = sf(x) (or cdf(x)) maps the window X > t (or X <= t) onto the finite

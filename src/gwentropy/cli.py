@@ -124,6 +124,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse turns a ValueError into a usage error
+    if not 0.0 < value < float("inf"):  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def _read_values(path: str, column: str | None) -> list[float]:
     if path == "-":
         text = sys.stdin.read()
@@ -440,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs quadrature self-check")
     p.add_argument("--draws", type=_positive_int, default=20, help="random draws per cell")
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance per draw")
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance per draw")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=_cmd_verify)
 

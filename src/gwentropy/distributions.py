@@ -571,6 +571,25 @@ class Affine(Distribution):
     def _hazard(self, x):
         return self.base._hazard(self._pullback(x)) / self.scale
 
+    def _from_base(self, integral, g, t, weighted):
+        """The power integral of scale * X + shift at t, by y = scale * x + shift:
+        scale**2 * I_w + scale * shift * I_u, or scale * I_u unweighted, with I_w and
+        I_u the base's integral(g, x, weighted) at x = (t - shift) / scale; None when
+        the base's is None."""
+        x = (t - self.shift) / self.scale
+        unweighted = integral(g, x, False)
+        if unweighted is None:
+            return None
+        if not weighted:
+            return self.scale * unweighted
+        return self.scale**2 * integral(g, x, True) + self.scale * self.shift * unweighted
+
+    def _survival_closed(self, g, t, weighted):
+        return self._from_base(self.base._survival_closed, g, t, weighted)
+
+    def _failure_closed(self, g, t, weighted):
+        return self._from_base(self.base._failure_closed, g, t, weighted)
+
 
 class ProportionalHazards(Distribution):
     """Distribution with sf(x) = base.sf(x) ** theta (theta > 0)."""
@@ -615,6 +634,10 @@ class ProportionalHazards(Distribution):
     def _check_tail(self, g, weighted=True):
         self.base._check_tail(g * self.theta, weighted)
 
+    def _survival_closed(self, g, t, weighted):
+        # (sf(x) / sf(t))**g is (base.sf(x) / base.sf(t))**(g * theta)
+        return self.base._survival_closed(g * self.theta, t, weighted)
+
 
 class ProportionalReverseHazards(Distribution):
     """Distribution with cdf(x) = base.cdf(x) ** theta (theta > 0)."""
@@ -652,6 +675,10 @@ class ProportionalReverseHazards(Distribution):
     def _check_tail(self, g, weighted=True):
         # tail decay matches the base family up to the constant theta
         self.base._check_tail(g, weighted)
+
+    def _failure_closed(self, g, t, weighted):
+        # (cdf(x) / cdf(t))**g is (base.cdf(x) / base.cdf(t))**(g * theta)
+        return self.base._failure_closed(g * self.theta, t, weighted)
 
 
 def _split_inverse(log_q, near, far):

@@ -19,11 +19,12 @@ The dynamic failure measure is evaluated at min(t, support top), so it
 reaches the static gwfe value at the top and stays there.
 
 Closed forms exist for the exponential, Pareto, uniform, rayleigh (survival
-side) and uniform, power (failure side) families; everything else goes
-through tanh-sinh quadrature in probability space.  Both routes live behind
-``_quad``'s survival_integral / failure_integral; ``method`` ("auto",
-"closed" or "quadrature") selects between them, mainly so the two routes can
-be checked against each other.
+side) and uniform, power (failure side) families, and for the proportional
+(reverse) hazards models and affine maps of them, which take theirs from the
+base; everything else goes through tanh-sinh quadrature in probability
+space.  Both routes live behind ``_quad``'s survival_integral /
+failure_integral; ``method`` ("auto", "closed" or "quadrature") selects
+between them, mainly so the two routes can be checked against each other.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Dual-route verification of the closed forms against quadrature.
 
 Each cell draws random parameters for one (family, transform, measure)
-combination, evaluates the underlying power integral once by quadrature
-(``method="quadrature"``) and once through the family's own
+combination, evaluates the underlying power integral of one distribution
+once by quadrature (``method="quadrature"``) and once through its own
 closed form (``method="closed"``), the one users get, and records the worst
 relative disagreement.  Transformed variables (power of the survival or
-failure function, scalar multiples) are integrated through the wrapper
-distributions on the quadrature side and reach their family by an exact
-parameter reduction on the closed side, so no formula is written here.
+failure function, scalar multiples) are the wrapper distributions, whose
+closed forms come from their base, so no formula is written here.
 """
 
 from __future__ import annotations
@@ -79,29 +78,26 @@ def _power_draw(rng):
     return rng.uniform(0.4, 3.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.5), _draw_order(rng).gamma
 
 
-# name -> (draw, params -> (side, distribution by quadrature, family by closed form, g, t));
-# a wrapper reaches its family by an exact reduction of the parameters
+# name -> (draw, params -> (side, distribution, g, t)); a wrapper's closed
+# form is its own, taken through its base
 _S, _F, _W = "survival", "failure", "wmrl"
 _CELLS = {
-    "gwse/exponential": (_exp_draw, lambda lam, th, g: (_S, Exp(lam), Exp(lam), g, 0.0)),
-    "gwse/exponential-sf-power": (_exp_draw, lambda lam, th, g: (_S, PH(Exp(lam), th), Exp(lam * th), g, 0.0)),
-    "gwse/exponential-scaled": (_exp_draw, lambda lam, th, g: (_S, Affine(Exp(lam), th), Exp(lam / th), g, 0.0)),
-    "gwse/pareto": (_pareto_draw, lambda a, b, th, g: (_S, Par(a, b), Par(a, b), g, 0.0)),
-    "gwse/pareto-sf-power": (_pareto_draw, lambda a, b, th, g: (_S, PH(Par(a, b), th), Par(a * th, b), g, 0.0)),
-    "gwse/pareto-scaled": (_pareto_draw, lambda a, b, th, g: (_S, Affine(Par(a, b), th), Par(a, th * b), g, 0.0)),
-    "gwse/rayleigh": (
-        lambda rng: (rng.uniform(0.3, 3.0), _draw_order(rng).gamma),
-        lambda lam, g: (_S, Rayleigh(lam), Rayleigh(lam), g, 0.0),
-    ),
-    "gwfe/uniform": (_unif_draw, lambda a, th, g: (_F, Uni(0.0, a), Uni(0.0, a), g, None)),
-    "gwfe/uniform-cdf-power": (_unif_draw, lambda a, th, g: (_F, PRH(Uni(0.0, a), th), Pow(th, a), g, None)),
-    "gwfe/uniform-scaled": (_unif_draw, lambda a, th, g: (_F, Affine(Uni(0.0, a), th), Uni(0.0, th * a), g, None)),
-    "gwfe/power": (_power_draw, lambda c, b, th, g: (_F, Pow(c, b), Pow(c, b), g, None)),
-    "gwfe/power-cdf-power": (_power_draw, lambda c, b, th, g: (_F, PRH(Pow(c, b), th), Pow(c * th, b), g, None)),
-    "gwfe/power-scaled": (_power_draw, lambda c, b, th, g: (_F, Affine(Pow(c, b), th), Pow(c, th * b), g, None)),
-    "gdwse/exponential": (_exp_t_draw, lambda lam, g, t: (_S, Exp(lam), Exp(lam), g, t)),
-    "wmrl/exponential-at-0": (lambda rng: (rng.uniform(0.3, 3.0),), lambda lam: (_W, Exp(lam), Exp(lam), 1.0, 0.0)),
-    "wmrl/exponential-at-t": (_rate_t_draw, lambda lam, t: (_W, Exp(lam), Exp(lam), 1.0, t)),
+    "gwse/exponential": (_exp_draw, lambda lam, th, g: (_S, Exp(lam), g, 0.0)),
+    "gwse/exponential-sf-power": (_exp_draw, lambda lam, th, g: (_S, PH(Exp(lam), th), g, 0.0)),
+    "gwse/exponential-scaled": (_exp_draw, lambda lam, th, g: (_S, Affine(Exp(lam), th), g, 0.0)),
+    "gwse/pareto": (_pareto_draw, lambda a, b, th, g: (_S, Par(a, b), g, 0.0)),
+    "gwse/pareto-sf-power": (_pareto_draw, lambda a, b, th, g: (_S, PH(Par(a, b), th), g, 0.0)),
+    "gwse/pareto-scaled": (_pareto_draw, lambda a, b, th, g: (_S, Affine(Par(a, b), th), g, 0.0)),
+    "gwse/rayleigh": (lambda rng: (rng.uniform(0.3, 3.0), _draw_order(rng).gamma), lambda lam, g: (_S, Rayleigh(lam), g, 0.0)),
+    "gwfe/uniform": (_unif_draw, lambda a, th, g: (_F, Uni(0.0, a), g, None)),
+    "gwfe/uniform-cdf-power": (_unif_draw, lambda a, th, g: (_F, PRH(Uni(0.0, a), th), g, None)),
+    "gwfe/uniform-scaled": (_unif_draw, lambda a, th, g: (_F, Affine(Uni(0.0, a), th), g, None)),
+    "gwfe/power": (_power_draw, lambda c, b, th, g: (_F, Pow(c, b), g, None)),
+    "gwfe/power-cdf-power": (_power_draw, lambda c, b, th, g: (_F, PRH(Pow(c, b), th), g, None)),
+    "gwfe/power-scaled": (_power_draw, lambda c, b, th, g: (_F, Affine(Pow(c, b), th), g, None)),
+    "gdwse/exponential": (_exp_t_draw, lambda lam, g, t: (_S, Exp(lam), g, t)),
+    "wmrl/exponential-at-0": (lambda rng: (rng.uniform(0.3, 3.0),), lambda lam: (_W, Exp(lam), 1.0, 0.0)),
+    "wmrl/exponential-at-t": (_rate_t_draw, lambda lam, t: (_W, Exp(lam), 1.0, t)),
 }
 
 
@@ -125,14 +121,16 @@ def run_closed_form_suite(
     """
     if draws < 1:
         raise GwentropyError("draws must be at least 1")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise GwentropyError(f"tol must be finite and positive, got {tol}")
     results = []
     for name, (draw, case) in _CELLS.items():
         rng = SeededSampler(seed, zlib.crc32(name.encode("ascii"))).generator()
         worst = 0.0
         for _ in range(draws):
-            side, quad_d, closed_d, g, t = case(*draw(rng))
-            quad = _integral(side, quad_d, g, t, "quadrature")
-            closed = _integral(side, closed_d, g, t, "closed")
+            side, d, g, t = case(*draw(rng))
+            quad = _integral(side, d, g, t, "quadrature")
+            closed = _integral(side, d, g, t, "closed")
             worst = max(worst, abs(quad - closed) / abs(closed))
         results.append(CellResult(name=name, draws=draws, max_rel_err=worst, tol=tol))
     return results

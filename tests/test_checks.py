@@ -19,10 +19,13 @@ from gwentropy import (
 )
 from gwentropy.checks import gdwse_derivative
 from gwentropy.distributions import (
+    Affine,
     Exponential,
     Gamma,
     Pareto,
     Power,
+    ProportionalHazards,
+    ProportionalReverseHazards,
     Rayleigh,
     Uniform,
     Weibull,
@@ -175,6 +178,22 @@ def test_affine_identity_uniform_both_sides():
 def test_affine_identity_dynamic():
     res = affine_identity_check(Exponential(0.9), ORD, scale=2.5, shift=1.0, t=1.8)
     assert res.survival < 1e-9
+
+
+def test_identity_checks_take_the_wrapper_by_quadrature(monkeypatch):
+    # the wrapper's closed form is the identity under test, so the checks
+    # must not evaluate the wrapper through it
+    def no_closed_form(self, *args):
+        raise AssertionError("the wrapper's closed form was used")
+
+    monkeypatch.setattr(ProportionalHazards, "_survival_closed", no_closed_form)
+    monkeypatch.setattr(ProportionalReverseHazards, "_failure_closed", no_closed_form)
+    assert proportional_model_check(Exponential(1.1), ORD, theta=2.0, side="survival").identity_residual < 1e-9
+    assert proportional_model_check(Power(1.3, 1.8), ORD2, theta=1.3, side="failure").identity_residual < 1e-9
+    monkeypatch.setattr(Affine, "_survival_closed", no_closed_form)
+    monkeypatch.setattr(Affine, "_failure_closed", no_closed_form)
+    res = affine_identity_check(Uniform(0.2, 1.5), ORD2, scale=1.7, shift=0.3)
+    assert res.survival < 1e-9 and res.failure < 1e-9
 
 
 def test_affine_identity_rejects_bad_transform():

@@ -248,6 +248,15 @@ def test_usage_error_nonpositive_count(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "tiny"])
+def test_usage_error_bad_tol(tol, capsys):
+    # a tolerance no draw can meet, or every draw meets, is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--draws", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -387,9 +387,8 @@ def test_non_finite_integrand_raises(monkeypatch):
 
     base, a, b = Uniform(0.1, 0.5), 2.1, 1.3
     d = Affine(base, a, b)
-    # with the guard: the affine identity a**2 I_x + a b I_1 of the base at (t - b) / a
-    s = (2.0 - b) / a
-    exact = a * a * failure_integral(base, 0.51, s, "closed") + a * b * failure_integral(base, 0.51, s, "closed", weighted=False)
+    # with the guard: the wrapper's closed form, the affine identity over the base's
+    exact = failure_integral(d, 0.51, 2.0, "closed")
     assert failure_integral(d, 0.51, 2.0, "quadrature") == pytest.approx(exact, rel=REL_TOL, abs=0.0)
     monkeypatch.setattr(_quad, "_power_window", unguarded)
     with pytest.raises(QuadratureError, match="not finite"):
@@ -405,7 +404,7 @@ def test_heavy_tail_window_where_isf_overflows():
         assert float(d._isf(np.array(1e-300))) == math.inf
     got = survival_integral(d, 2.5, 1.0, "quadrature")
     assert got == pytest.approx(1.0 / (0.9 * 2.5 - 2.0), rel=REL_TOL, abs=0.0)
-    # PRH has no closed form, so auto runs the same quadrature; reference by
+    # PRH has no survival-side closed form, so auto runs the same quadrature; reference by
     # 50-digit mpmath quadrature of x * sf(x)**2.5, sf = 1 - (1 - x**-0.9)**3
     got = survival_integral(ProportionalReverseHazards(d, 3.0), 2.5, 1.0)
     assert got == pytest.approx(42.5459320858228006592129267989, rel=REL_TOL, abs=0.0)
@@ -489,6 +488,57 @@ def test_affine_shift_below_zero_start():
     a = float(gwse(d, ORD, method="quadrature"))
     b = float(gwse(d, ORD))
     assert a == pytest.approx(b, rel=1e-9)
+
+
+# Each wrapper against the family it reduces to exactly, from drawn
+# parameters p, q, r in [0.3, 3] and the exponent g: (side, wrapper, family)
+_REDUCTIONS = {
+    "ph-exponential": lambda p, q, r, g: ("survival", ProportionalHazards(Exponential(p), q), Exponential(p * q)),
+    "ph-rayleigh": lambda p, q, r, g: ("survival", ProportionalHazards(Rayleigh(p), q), Rayleigh(p * q)),
+    "ph-pareto": lambda p, q, r, g: (
+        "survival", ProportionalHazards(Pareto((2.1 + p) / (g * min(q, 1.0)), r), q), Pareto((2.1 + p) / (g * min(q, 1.0)) * q, r),
+    ),
+    "prh-uniform": lambda p, q, r, g: ("failure", ProportionalReverseHazards(Uniform(0.0, p), q), Power(q, p)),
+    "prh-power": lambda p, q, r, g: ("failure", ProportionalReverseHazards(Power(p, r), q), Power(p * q, r)),
+    "affine-exponential": lambda p, q, r, g: ("survival", Affine(Exponential(p), q), Exponential(p / q)),
+    "affine-rayleigh": lambda p, q, r, g: ("survival", Affine(Rayleigh(p), q), Rayleigh(p / (q * q))),
+    "affine-pareto": lambda p, q, r, g: ("survival", Affine(Pareto((2.1 + p) / g, r), q), Pareto((2.1 + p) / g, q * r)),
+    "affine-uniform-survival": lambda p, q, r, g: (
+        "survival", Affine(Uniform(r / 3.0, r / 3.0 + p), q, r), Uniform(q * r / 3.0 + r, q * (r / 3.0 + p) + r),
+    ),
+    "affine-uniform-failure": lambda p, q, r, g: (
+        "failure", Affine(Uniform(r / 3.0, r / 3.0 + p), q, r), Uniform(q * r / 3.0 + r, q * (r / 3.0 + p) + r),
+    ),
+    "affine-uniform-from-0": lambda p, q, r, g: ("failure", Affine(Uniform(0.0, p), q), Uniform(0.0, q * p)),
+    "affine-power": lambda p, q, r, g: ("failure", Affine(Power(p, r), q), Power(p, q * r)),
+}
+
+
+@given(
+    case=st.sampled_from(sorted(_REDUCTIONS)),
+    p=st.floats(0.3, 3.0),
+    q=st.floats(0.3, 3.0),
+    r=st.floats(0.3, 3.0),
+    g=st.floats(0.2, 3.0),
+    u=st.floats(0.0, 0.99),
+    weighted=st.booleans(),
+)
+def test_wrapper_closed_form_equals_reduced_family(case, p, q, r, g, u, weighted):
+    # static (u = 0) or dynamic at the u quantile of the window side
+    side, wrapper, family = _REDUCTIONS[case](p, q, r, g)
+    lo, hi = family.support
+    if side == "survival":
+        t = float(wrapper._quantile(u))
+        lo = max(t, lo)
+        got, want = (survival_integral(d, g, t, "closed", weighted) for d in (wrapper, family))
+    else:
+        t = None if u == 0.0 else float(wrapper._quantile(1.0 - u))
+        hi = hi if t is None else min(t, hi)
+        got, want = (failure_integral(d, g, t, "closed", weighted) for d in (wrapper, family))
+    # the two sides round the ends of a finite window [lo, hi] differently, so
+    # its width is known to eps * max(|lo|, |hi|) only
+    cond = 1.0 if math.isinf(hi) else max(1.0, hi / (hi - lo))
+    assert got == pytest.approx(want, rel=1e-13 * cond, abs=0.0)
 
 
 # ---------- divergence and domain guards ----------
