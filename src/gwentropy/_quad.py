@@ -5,22 +5,22 @@ All integrals reduce to one of two shapes:
 * survival type: integral of w(x) * (sf(x) / sf(t))**g over [max(t, lo), hi]
 * failure type:  integral of w(x) * (cdf(x) / cdf(t))**g over [lo, t]
 
-with weight w(x) = x (weighted measures) or w(x) = 1.  ``survival_integral``
-and ``failure_integral`` are the one place that checks the domain and the
-method and picks the route: a distribution's own closed form (``_survival_closed``
-/ ``_failure_closed``, a wrapper's taken from its base) or quadrature.
+with weight w(x) = x (weighted measures) or w(x) = 1, at a scalar t or at
+each element of an array.  ``survival_integral`` and ``failure_integral`` are
+the one place that checks the domain and the method and picks the route: a
+distribution's own closed form (``_survival_closed`` / ``_failure_closed``, a
+wrapper's taken from its base) or quadrature.
 
 Quadrature is always taken in probability space by ``window_integral``:
 v = sf(x) (or cdf(x)) maps the window X > t (or X <= t) onto the finite
 (0, sf(t)] (or (0, cdf(t)]) on any support, with at worst algebraic
-singularities at the ends.  ``window_integral`` is also the one integral
-behind the Shannon and log-sum bounds in ``checks``.  ``integrate`` runs
+singularities at the ends; all windows of a call, here and in the bounds of
+``checks``, are elements of one ``integrate`` call.  ``integrate`` runs
 double-exponential (tanh-sinh) quadrature (Takahasi & Mori, 1974) with
 Bailey's error estimate (Bailey, Jeyabalan & Li, 2005), written here in numpy
 on scipy's node tables and stopping rule: levels 0-3 of an elementwise
 integrand are one vectorized call, and each further level one more.  An
-element it does not bring to ``REL_TOL`` falls back to the adaptive
-``scipy.integrate.quad``.
+element it does not bring to ``REL_TOL`` falls back to ``scipy.integrate.quad``.
 """
 
 from __future__ import annotations
@@ -72,13 +72,14 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
     f is called with x of shape (elements, nodes) and each arg of shape
     (elements, 1): once for levels 0-3, then once per further level for the
     elements still short of REL_TOL; an element still short after level 10
-    is integrated again by quad.  f is only evaluated strictly inside (a, b):
-    a node that rounds onto a limit gets zero weight and is evaluated at the
-    midpoint.  A value of f that is not finite raises QuadratureError.
+    is integrated again by quad, with x and each arg of shape (1, 1).  f is
+    only evaluated strictly inside (a, b): a node that rounds onto a limit
+    gets zero weight and is evaluated at the midpoint.  A value of f that is
+    not finite raises QuadratureError.
     """
     a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), *args)
     shape = a.shape
-    a, b, *args = (np.reshape(v, (-1, 1)) for v in (a, b, *args))
+    a, b, *args = (v.reshape(-1, 1) for v in (a, b, *args))
 
     def inside(x, a, b, *args):
         edge = (x <= a) | (x >= b)
@@ -95,7 +96,7 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
     reach = np.full((live.size, 2), -np.inf)
     tail = np.full((live.size, 2), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
+        for level in range(_MIN_LEVEL, _MAX_LEVEL + 1) if live.size else ():
             c, w = _FIRST if level == _MIN_LEVEL else _LEVELS[level]
             n, half = live.size, (b - a) / 2.0
             x = np.concatenate((b - half * c, a + half * c), axis=1)
@@ -122,108 +123,125 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
             # d4) clipped to [eps |s|, d1]
             d1, d2 = np.abs(s - s1), np.abs(s - s2)
             d3 = _EPS * np.max(np.abs(fw), axis=-1)
-            err = np.max([np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0), d1**2, d3, np.max(tail, axis=-1)], axis=0)
+            d4 = np.max(tail, axis=-1)
+            err = np.maximum(np.maximum(np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0), d1**2), np.maximum(d3, d4))
             done = np.clip(err, _EPS * np.abs(s), d1) / np.abs(s) < REL_TOL
             out[live[done]] = s[done]
 
             keep = ~done
-            live, a, b, reach, tail, s, s1 = live[keep], a[keep], b[keep], reach[keep], tail[keep], s[keep], s1[keep]
-            args = [arg[keep] for arg in args]
+            live = live[keep]
             if not live.size:
                 break
+            a, b, reach, tail, s, s1, *args = (v[keep] for v in (a, b, reach, tail, s, s1, *args))
     if live.size:  # not converged by the last level: the quad fallback
         from scipy.integrate import quad
 
-        for i, row in zip(live, zip(a[:, 0], b[:, 0], *(arg[:, 0] for arg in args))):
+        for j, i in enumerate(live):
+            row = [v[j : j + 1] for v in (a, b, *args)]
             out[i] = quad(
-                lambda x: float(inside(np.asarray(x), *row)), row[0], row[1], epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS
+                lambda x: inside(np.full((1, 1), x), *row)[0, 0], a[j, 0], b[j, 0], epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS
             )[0]
     return out.reshape(shape)
 
 
-def _closed(method: str, closed_fn, *args) -> float | None:
-    """The closed value for `method`, or None when quadrature should run."""
-    if method not in _METHODS:
-        raise GwentropyError(f"unknown method {method!r}")
-    if method == "quadrature":
-        return None
-    value = closed_fn(*args)
-    if value is None and method == "closed":
-        raise GwentropyError("no closed form for this family")
-    return value
+def _mapped(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """f on each element of the 1-D array a as a Python float: math.log and
+    math.exp, which numpy's log and exp can round apart from, or a family's
+    function at one t as a scalar call evaluates it."""
+    return np.fromiter(map(f, a.tolist()), float, a.size)
 
 
-def survival_integral(d, g: float, t: float = 0.0, method: str = "auto", weighted: bool = True) -> float:
-    """Integral of w(x) * (sf(x)/sf(t))**g from max(t, support bottom) up."""
-    if not float(d.sf(t)) > 0.0:
-        raise GwentropyError(f"survival is zero at t={t}")
-    d._check_tail(g, weighted=weighted)
+def survival_integral(d, g: float, t: float | np.ndarray = 0.0, method: str = "auto", weighted: bool = True):
+    """Integral of w(x) * (sf(x)/sf(t))**g from max(t, support bottom) up, at
+    each element of t: a float for a scalar t, else an array of t's shape."""
     # sf is 1 at and below the support bottom, so clamping t there is exact
-    start = max(t, d.support[0])
-    closed = _closed(method, d._survival_closed, g, start, weighted)
-    if closed is not None:
-        return closed
-    return _power_window(d, "survival", start, g, weighted)
+    return _integral(d, "survival", g, np.maximum(t, d.support[0]), method, weighted)
 
 
-def failure_integral(d, g: float, t: float | None = None, method: str = "auto", weighted: bool = True) -> float:
-    """Integral of w(x) * (cdf(x)/cdf(s))**g from the support bottom to s,
-    where s = min(t, support top), or s = support top when t is None."""
+def failure_integral(d, g: float, t: float | np.ndarray | None = None, method: str = "auto", weighted: bool = True):
+    """Integral of w(x) * (cdf(x)/cdf(s))**g from the support bottom to s =
+    min(t, support top), or the top when t is None; per element of t."""
     hi = d.support[1]
     if t is None:
         if math.isinf(hi):
             raise DivergenceError("failure-side measure diverges on an infinite support")
-        s = hi
-    else:
-        s = min(float(t), hi)
-        if not float(d.cdf(s)) > 0.0:
-            raise GwentropyError(f"cdf is zero at t={t}")
-    closed = _closed(method, d._failure_closed, g, s, weighted)
-    if closed is not None:
-        return closed
-    return _power_window(d, "failure", s, g, weighted)
+        t = hi
+    return _integral(d, "failure", g, np.minimum(t, hi), method, weighted)
 
 
-def _power_window(d, side: str, t: float, g: float, weighted: bool) -> float:
-    """The power integral over the window at t as the integral of
-    w(x) * (v / F(t))**g / pdf(x) over v = F(x) in (0, F(t)], F = sf or cdf."""
-    log_w = math.log(float(d.sf(t) if side == "survival" else d.cdf(t)))
+def _integral(d, side: str, g: float, t: np.floating | np.ndarray, method: str, weighted: bool) -> float | np.ndarray:
+    """The power integral at the clamped t by the route `method` picks."""
+    ts, masses = _masses(d, side, t)
+    survival = side == "survival"
+    if survival:
+        d._check_tail(g, weighted=weighted)
+    if method not in _METHODS:
+        raise GwentropyError(f"unknown method {method!r}")
+    value = None if method == "quadrature" else (d._survival_closed if survival else d._failure_closed)(g, t, weighted)
+    if value is None:
+        if method == "closed":
+            raise GwentropyError("no closed form for this family")
+        value = _window(d, side, ts, masses, _power(d, g, weighted)).reshape(t.shape)
+    return np.full(t.shape, value) if isinstance(t, np.ndarray) else float(value)
 
-    def integrand(x, v):
+
+def _masses(d, side: str, t: float | np.ndarray) -> tuple[list, list]:
+    """The elements of t as floats and their window masses, sf(t) or cdf(t)
+    with the bits of a scalar call; GwentropyError for a NaN t or a zero mass."""
+    ts = np.ravel(t).tolist()
+    if any(map(math.isnan, ts)):
+        raise GwentropyError("t must not be NaN")
+    masses = [float((d.sf if side == "survival" else d.cdf)(x)) for x in ts]
+    for x, w in zip(ts, masses):
+        if not w > 0.0:
+            raise GwentropyError(f"{'survival' if side == 'survival' else 'cdf'} is zero at t={x}")
+    return ts, masses
+
+
+def _power(d, g: float, weighted: bool):
+    """The window integrand of the power integral: w(x) * (v / W)**g / pdf(x)
+    over v = F(x) in (0, W], F = sf or cdf, W the window mass."""
+
+    def integrand(x, v, w):
         fx = d.pdf(x)
         # pdf is 0 only where x rounds onto or past a support end: a finite
         # one, or inf where the isf of a heavy tail overflows for v near 0
         ok = fx > 0.0
-        p = np.where(ok, np.exp(g * (np.log(v) - log_w)) / np.where(ok, fx, 1.0), 0.0)
+        p = np.where(ok, np.exp(g * (np.log(v) - _mapped(math.log, w.ravel()).reshape(w.shape))) / np.where(ok, fx, 1.0), 0.0)
         return np.where(ok, x, 0.0) * p if weighted else p
 
-    return window_integral(d, side, t, integrand)
+    return integrand
 
 
-def window_integral(d, side: str, t: float, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Integral of the elementwise fn(x(v), v) over v in (0, w], w = sf(t) on
-    the survival side and cdf(t) on the failure side, with x(v) the unchecked
-    inverse: isf on the survival side, quantile on the failure side.
+def window_integral(d, side: str, t: float | np.ndarray, fn: Callable[..., np.ndarray]) -> float | np.ndarray:
+    """Integral of the elementwise fn(x(v), v, w) over v in (0, w] at each
+    element of t (a float for a scalar t), w = sf(t) on the survival side and
+    cdf(t) on the failure side in the shape of v's rows, x(v) the unchecked
+    isf or quantile: the integral of fn(x, F(x), w) * pdf(x) over the window
+    X > t (or X <= t), whatever the support."""
+    value = _window(d, side, *_masses(d, side, t), fn).reshape(np.shape(t))
+    return value if np.ndim(t) else float(value)
 
-    This is the integral of fn(x, F(x)) * pdf(x) over the window X > t (or
-    X <= t), whatever the support.
-    """
+
+def _window(d, side: str, ts: list, masses: list, fn) -> np.ndarray:
+    """window_integral at the floats ts, given their window masses."""
     survival = side == "survival"
-    w = float(d.sf(t) if survival else d.cdf(t))
     inverse, complement = (d._isf, d._quantile) if survival else (d._quantile, d._isf)
-    if not w > 0.75:
-        return float(integrate(lambda v: fn(inverse(v), v), 0.0, w))
+    # x(v) for v near 1 keeps only the digits of 1 - v that v holds, so a window past 3/4
+    # is split at v = 1/2 (exactly u = 1/2) and its upper part, in u = 1 - v through the
+    # other inverse from the complement cdf(t) or sf(t), is one more element of the call
+    split = [w > 0.75 for w in masses]
+    c = [float((d.cdf if survival else d.sf)(x)) for x, s in zip(ts, split) if s]
 
-    # x(v) for v near 1 keeps only the digits of 1 - v that v holds, so a
-    # window reaching that far is split at v = 1/2 (exactly u = 1/2) and its
-    # upper part taken in u = 1 - v through the other inverse, from the
-    # complement of w evaluated directly (cdf(t) or sf(t))
-    def halves(p, upper):
-        upper = np.broadcast_to(upper, p.shape)
-        x = np.empty_like(p)
-        x[~upper] = inverse(p[~upper])
-        x[upper] = complement(p[upper])
-        return fn(x, np.where(upper, 1.0 - p, p))
+    def halves(p, upper, w):
+        # integrate keeps the rows in order, so the upper parts come last
+        lower = len(upper) - np.count_nonzero(upper)
+        x = np.concatenate((inverse(p[:lower]), complement(p[lower:])))
+        return fn(x, np.concatenate((p[:lower], 1.0 - p[lower:])), w)
 
-    c = float(d.cdf(t) if survival else d.sf(t))
-    return float(np.sum(integrate(halves, [0.0, c], 0.5, args=(np.array([False, True]),))))
+    n = len(ts)
+    b = [0.5 if s else w for s, w in zip(split, masses)] + [0.5] * len(c)
+    args = ([False] * n + [True] * len(c), masses + [w for s, w in zip(split, masses) if s])
+    value = integrate(halves, [0.0] * n + c, b, args=args)
+    value[:n][np.array(split, dtype=bool)] += value[n:]
+    return value[:n]

@@ -14,8 +14,8 @@ residual moments and to Shannon entropy.  Every integral comes from
 ``_quad``: the measures and wmrl / wmit through the power integrals, the
 Shannon and log-sum right-hand sides through ``window_integral`` over the
 conditioning window X > t or X <= t in probability space, so infinite
-supports need no truncation.  Checks report residuals and margins; they do
-not assert.
+supports need no truncation, and a grid of t is one quadrature call.
+Checks report residuals and margins; they do not assert.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import distributions as dist
-from ._quad import failure_integral, survival_integral, window_integral
-from .entropy import EntropyOrder, gdwfe, gdwse, gwfe, gwse
+from ._quad import _mapped, failure_integral, survival_integral, window_integral
+from .entropy import EntropyOrder, _gdwse_value, gdwfe, gdwse, gwfe, gwse
 from .errors import DivergenceError, GwentropyError
 
 __all__ = [
@@ -70,6 +70,7 @@ def hazard_from_gdwse(
 
     g maps t to the measure value; its derivative is taken by central
     differences with the given step (optionally Richardson-extrapolated).
+    The identity holds only inside the support: below it gdwse is constant.
     """
     slope = _central_derivative(g, t, step, richardson)
     return (order.delta * slope + t * math.exp(-order.delta * g(t))) / order.gamma
@@ -87,10 +88,15 @@ def reverse_hazard_from_gdwfe(
     return (t * math.exp(-order.delta * g(t)) - order.delta * slope) / order.gamma
 
 
-def gdwse_derivative(d, order: EntropyOrder, t: float) -> float:
-    """Exact derivative of t -> gdwse(d, order, t) via the identity above."""
-    value = gdwse(d, order, t).value
-    return (order.gamma * d.hazard(t) - t * math.exp(-order.delta * value)) / order.delta
+def gdwse_derivative(d, order: EntropyOrder, t: float | np.ndarray) -> float | np.ndarray:
+    """Exact derivative of t -> gdwse(d, order, t) via the identity above at
+    each element of t, in one quadrature call; 0 below the support bottom,
+    where gdwse is constant."""
+    ts = np.ravel(np.asarray(t, dtype=float))
+    # the hazard one t at a time, as the window masses: its scalar call can round apart
+    slope = (order.gamma * _mapped(d._hazard, ts) - ts * _mapped(math.exp, -order.delta * _gdwse_value(d, order, ts))) / order.delta
+    slope = np.where(ts < d.support[0], 0.0, slope).reshape(np.shape(t))
+    return slope if np.ndim(t) else float(slope)
 
 
 class Monotonicity(enum.Enum):
@@ -107,10 +113,10 @@ def classify_gdwse_monotonicity(d, order: EntropyOrder, grid: Sequence[float] | 
     family) classifies as increasing, since it is weakly so.
     """
     if grid is None:
-        lo = float(d.quantile(0.001))
-        hi = float(d.quantile(0.999))
-        grid = np.linspace(lo, hi, 64)
-    slopes = np.array([gdwse_derivative(d, order, float(t)) for t in grid])
+        grid = np.linspace(float(d.quantile(0.001)), float(d.quantile(0.999)), 64)
+    elif not np.size(grid):
+        raise GwentropyError("grid must hold at least one t")
+    slopes = gdwse_derivative(d, order, grid)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(slopes))))
     if np.all(slopes >= -tol):
         return Monotonicity.INCREASING
@@ -291,17 +297,11 @@ def _lower(name: str, lhs: float, rhs: float) -> BoundResult:
     return BoundResult(name, lhs, rhs, lhs - rhs, True)
 
 
-def _window(d, t: float, side: str) -> float:
-    """Probability of the conditioning window: sf(t) for X > t, cdf(t) for X <= t."""
-    return float(d.sf(t) if side == "survival" else d.cdf(t))
-
-
 def _shannon_rhs(d, t: float, side: str) -> float:
     """H + E[log X] of X | X > t (side 'survival'; t = 0 gives H(X) + E[log X])
     or of X | X <= t ('failure'), both over the same conditioning window."""
-    w = _window(d, t, side)
 
-    def integrand(x, v):
+    def integrand(x, v, w):
         fx = d.pdf(x)
         ok = (x > 0.0) & (fx > 0.0)
         return np.where(ok, (np.log(np.where(ok, x, 1.0)) - np.log(np.where(ok, fx, w) / w)) / w, 0.0)
@@ -314,11 +314,10 @@ def _logsum_rhs(d, order: EntropyOrder, t: float, side: str, value: float) -> fl
     that measure's value: with h(x) = x * (F(x)/F(t))**gamma over the window,
     F = sf or cdf, it is the h-weighted mean of log h over delta, plus the log
     of the window's length over delta."""
-    log_w = math.log(_window(d, t, side))
     length = d.support[1] - t if side == "survival" else t - d.support[0]
 
-    def h_log_h(x, v):
-        h = x * np.exp(order.gamma * (np.log(v) - log_w))
+    def h_log_h(x, v, w):
+        h = x * np.exp(order.gamma * (np.log(v) - _mapped(math.log, w.ravel()).reshape(w.shape)))
         fx = d.pdf(x)
         ok = (h > 0.0) & (fx > 0.0)
         hs = np.where(ok, h, 1.0)
@@ -381,56 +380,33 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
         return BoundReport(order, None, tuple(results))
 
     # ---- dynamic bounds at t ----
-    sf_t = float(d.sf(t))
-    cdf_t = float(d.cdf(t))
-
-    if sf_t <= 0.0:
-        for name in ("wmrl-upper-dynamic", "shannon-lower-survival-dynamic", "interval-logsum-upper-survival"):
-            results.append(_skip(name, "survival is zero at t"))
-    else:
-        try:
-            dvalue = gdwse(d, order, t).value
-        except DivergenceError as exc:
-            dvalue = None
-            dreason = str(exc)
-        if dvalue is None:
-            results.append(_skip("wmrl-upper-dynamic", dreason))
-        elif g < 1.0:
-            results.append(_skip("wmrl-upper-dynamic", "requires gamma >= 1"))
-        else:
-            results.append(_upper("wmrl-upper-dynamic", dvalue, math.log(d.wmrl(t)) / dl))
-        if dvalue is None:
-            results.append(_skip("shannon-lower-survival-dynamic", dreason))
-        else:
-            rhs = _shannon_rhs(d, t, "survival")
-            results.append(_lower("shannon-lower-survival-dynamic", dl * dvalue + g, rhs))
-        if dvalue is None:
-            results.append(_skip("interval-logsum-upper-survival", dreason))
-        elif not finite:
-            results.append(_skip("interval-logsum-upper-survival", "requires a finite support"))
-        elif not lo <= t < hi:
-            results.append(_skip("interval-logsum-upper-survival", "requires t inside the support"))
-        else:
-            results.append(
-                _upper("interval-logsum-upper-survival", dvalue, _logsum_rhs(d, order, t, "survival", dvalue))
-            )
-
-    if cdf_t <= 0.0:
-        for name in ("wmit-upper-dynamic", "shannon-lower-failure-dynamic", "interval-logsum-upper-failure"):
-            results.append(_skip(name, "cdf is zero at t"))
-    else:
-        fdyn = gdwfe(d, order, t).value
+    if math.isnan(t):
+        raise GwentropyError("t must not be NaN")
+    # the tail check behind a divergence does not depend on t, so the static
+    # measure's outcome stands for the dynamic one
+    skip_survival = "survival is zero at t" if float(d.sf(t)) <= 0.0 else sreason if svalue is None else None
+    skip_failure = "cdf is zero at t" if float(d.cdf(t)) <= 0.0 else None
+    outside = "requires t inside the support"
+    sides = [
+        # side, moment bound, why its three bounds skip, measure, moment at t, why the interval bound skips
+        ("survival", "wmrl", skip_survival, gdwse, lambda: d.wmrl(t),
+         "requires a finite support" if not finite else None if lo <= t < hi else outside),
+        ("failure", "wmit", skip_failure, gdwfe, lambda: d.wmit(min(t, hi)), None if lo < t <= hi else outside),
+    ]
+    for side, moment, skip, measure, moment_at_t, interval_skip in sides:
+        names = (f"{moment}-upper-dynamic", f"shannon-lower-{side}-dynamic", f"interval-logsum-upper-{side}")
+        if skip is not None:
+            results.extend(_skip(name, skip) for name in names)
+            continue
+        value = measure(d, order, t).value
         if g < 1.0:
-            results.append(_skip("wmit-upper-dynamic", "requires gamma >= 1"))
+            results.append(_skip(names[0], "requires gamma >= 1"))
         else:
-            results.append(_upper("wmit-upper-dynamic", fdyn, math.log(d.wmit(min(t, hi))) / dl))
-        rhs = _shannon_rhs(d, t, "failure")
-        results.append(_lower("shannon-lower-failure-dynamic", dl * fdyn + g, rhs))
-        if not lo < t <= hi:
-            results.append(_skip("interval-logsum-upper-failure", "requires t inside the support"))
+            results.append(_upper(names[0], value, math.log(moment_at_t()) / dl))
+        results.append(_lower(names[1], dl * value + g, _shannon_rhs(d, t, side)))
+        if interval_skip is not None:
+            results.append(_skip(names[2], interval_skip))
         else:
-            results.append(
-                _upper("interval-logsum-upper-failure", fdyn, _logsum_rhs(d, order, t, "failure", fdyn))
-            )
+            results.append(_upper(names[2], value, _logsum_rhs(d, order, t, side, value)))
 
     return BoundReport(order, t, tuple(results))

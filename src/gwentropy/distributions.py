@@ -134,10 +134,10 @@ class Distribution:
         return tail + failure_integral(self, 1.0, t, method)
 
     # closed forms of the power integrals in _quad; None means quadrature
-    def _survival_closed(self, g: float, t: float, weighted: bool) -> float | None:
+    def _survival_closed(self, g: float, t: float | np.ndarray, weighted: bool) -> float | np.ndarray | None:
         return None
 
-    def _failure_closed(self, g: float, t: float, weighted: bool) -> float | None:
+    def _failure_closed(self, g: float, t: float | np.ndarray, weighted: bool) -> float | np.ndarray | None:
         return None
 
     def _check_tail(self, g: float, weighted: bool = True) -> None:
@@ -259,7 +259,7 @@ class Pareto(Distribution):
             )
 
     def _survival_closed(self, g, t, weighted):
-        s = max(t, self.scale)
+        s = np.maximum(t, self.scale)
         ag = self.shape * g
         return s * s / (ag - 2.0) if weighted else s / (ag - 1.0)
 
@@ -297,13 +297,13 @@ class Uniform(Distribution):
         return self.upper - self._width() * v
 
     def _survival_closed(self, g, t, weighted):
-        w = self.upper - max(t, self.lower)
+        w = self.upper - np.maximum(t, self.lower)
         if weighted:
             return w * (self.upper / (g + 1.0) - w / (g + 2.0))
         return w / (g + 1.0)
 
     def _failure_closed(self, g, t, weighted):
-        w = min(t, self.upper) - self.lower
+        w = np.minimum(t, self.upper) - self.lower
         if weighted:
             return w * (self.lower / (g + 1.0) + w / (g + 2.0))
         return w / (g + 1.0)
@@ -336,7 +336,7 @@ class Power(Distribution):
         return self.upper * u ** (1.0 / self.shape)
 
     def _failure_closed(self, g, t, weighted):
-        s = min(t, self.upper)
+        s = np.minimum(t, self.upper)
         cg = self.shape * g
         return s * s / (cg + 2.0) if weighted else s / (cg + 1.0)
 
@@ -465,7 +465,8 @@ class Gamma(Distribution):
         with np.errstate(divide="ignore"):
             out = np.array(np.log(q))
         deep = (q < _TINY) & np.isfinite(x)  # sf near underflow: log of its continued fraction
-        out[deep] = _log_upper_gamma(self.shape, x[deep])
+        if deep.any():
+            out[deep] = _log_upper_gamma(self.shape, x[deep])
         return out[()]
 
     def _hazard(self, x):

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from ._quad import _mapped
 from .distributions import Distribution, SeededSampler
 from .entropy import EntropyOrder
 from .errors import DegenerateSampleError, GwentropyError
@@ -130,11 +131,6 @@ def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -
     if include_head:
         total = total + x[..., 0] * x[..., 0] / 2.0
     return total
-
-
-def _mapped(f, a: np.ndarray) -> np.ndarray:
-    """f (math.log or math.exp) on each element of a, as a float array."""
-    return np.fromiter(map(f, a.tolist()), float, a.size)
 
 
 def _log_gap_sum(totals: np.ndarray) -> np.ndarray:

@@ -33,7 +33,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from ._quad import failure_integral, survival_integral
+import numpy as np
+
+from ._quad import _mapped, failure_integral, survival_integral
 from .errors import GwentropyError
 
 __all__ = [
@@ -108,9 +110,8 @@ class EntropyValue:
 
 
 def gwse(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
-    """Weighted survival entropy of order (alpha, beta)."""
-    value = math.log(survival_integral(d, order.gamma, 0.0, method)) / order.delta
-    return EntropyValue(value, EntropyKind.GWSE, order)
+    """Weighted survival entropy of order (alpha, beta): gdwse at t = 0."""
+    return EntropyValue(_gdwse_value(d, order, 0.0, method), EntropyKind.GWSE, order)
 
 
 def gse(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
@@ -133,10 +134,16 @@ def gfe(d, order: EntropyOrder, method: str = "auto") -> EntropyValue:
 
 def gdwse(d, order: EntropyOrder, t: float, method: str = "auto") -> EntropyValue:
     """Dynamic weighted survival entropy of the residual life past t."""
-    if t < 0.0:
+    return EntropyValue(_gdwse_value(d, order, t, method), EntropyKind.GDWSE, order, t=t)
+
+
+def _gdwse_value(d, order: EntropyOrder, t: float | np.ndarray, method: str = "auto") -> float | np.ndarray:
+    """gdwse's value at a float t, or at each element of a 1-D array of t (checks.gdwse_derivative)."""
+    array = isinstance(t, np.ndarray)
+    if (t < 0.0).any() if array else t < 0.0:
         raise GwentropyError("t must be nonnegative")
-    value = math.log(survival_integral(d, order.gamma, t, method)) / order.delta
-    return EntropyValue(value, EntropyKind.GDWSE, order, t=t)
+    integral = survival_integral(d, order.gamma, t, method)
+    return (_mapped(math.log, integral) if array else math.log(integral)) / order.delta
 
 
 def gdwfe(d, order: EntropyOrder, t: float, method: str = "auto") -> EntropyValue:

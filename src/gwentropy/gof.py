@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quad import _mapped
 from .distributions import Distribution, Exponential
-from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum, _mapped
+from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 

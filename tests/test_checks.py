@@ -17,6 +17,7 @@ from gwentropy import (
     proportional_model_check,
     reverse_hazard_from_gdwfe,
 )
+from gwentropy import _quad
 from gwentropy.checks import gdwse_derivative
 from gwentropy.distributions import (
     Affine,
@@ -124,6 +125,76 @@ def test_classify_shifted_uniform_decreasing():
 def test_classify_accepts_custom_grid():
     grid = np.linspace(0.1, 2.0, 16)
     assert classify_gdwse_monotonicity(Exponential(1.0), ORD, grid=grid) is Monotonicity.INCREASING
+
+
+def test_classify_rejects_empty_and_nan_grids():
+    with pytest.raises(GwentropyError, match="at least one"):
+        classify_gdwse_monotonicity(Gamma(2.0), ORD, grid=[])
+    with pytest.raises(GwentropyError, match="NaN"):
+        classify_gdwse_monotonicity(Gamma(2.0), ORD, grid=[1.0, math.nan])
+
+
+@pytest.mark.parametrize(
+    "d,t",
+    [(Pareto(5.0, 1.0), 0.5), (Uniform(0.5, 2.0), 0.25), (Affine(Exponential(1.0), 1.0, 1.0), 0.5)],
+    ids=["pareto", "uniform", "affine-exponential"],
+)
+def test_gdwse_derivative_is_zero_below_the_support(d, t):
+    # gdwse is constant below the support bottom, where the identity would
+    # give -t * exp(-delta * gdwse) / delta
+    h = 1e-5
+    fd = (float(gdwse(d, ORD, t + h)) - float(gdwse(d, ORD, t - h))) / (2.0 * h)
+    assert fd == 0.0
+    assert gdwse_derivative(d, ORD, t) == 0.0
+
+
+def test_classify_ignores_slopes_below_the_support():
+    assert classify_gdwse_monotonicity(Pareto(5.0, 1.0), ORD, grid=[0.5, 2.0]) is Monotonicity.INCREASING
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Exponential(1.3),
+        Pareto(5.0, 1.0),
+        Uniform(0.5, 2.0),
+        Power(2.7, 1.5),
+        Rayleigh(0.5),
+        Weibull(0.7),
+        Gamma(2.0),
+        ProportionalReverseHazards(Pareto(5.0, 1.0), 2.2),
+        Affine(Gamma(2.0), 1.5, 1.0),
+    ],
+    ids=["exponential", "pareto", "uniform", "power", "rayleigh", "weibull", "gamma", "prh-pareto", "affine-gamma"],
+)
+def test_gdwse_derivative_on_a_grid_equals_the_scalar_loop(d):
+    grid = np.linspace(d.support[0] / 2.0, float(d.quantile(0.99)), 24)
+    got = gdwse_derivative(d, ORD, grid.reshape(4, 6))
+    np.testing.assert_array_equal(got.ravel(), [gdwse_derivative(d, ORD, float(t)) for t in grid])
+
+
+def _integrate_calls(monkeypatch, call) -> int:
+    calls = 0
+    real = _quad.integrate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_quad, "integrate", counting)
+    call()
+    return calls
+
+
+def test_classify_is_one_integrate_call(monkeypatch):
+    # the whole 64-point grid is one call; a loop over t would make 64
+    assert _integrate_calls(monkeypatch, lambda: classify_gdwse_monotonicity(Gamma(2.0), ORD)) == 1
+
+
+@pytest.mark.parametrize("d,t,most", [(Weibull(1.5), 0.8, 7), (Uniform(0.0, 2.0), 1.0, 5)], ids=["weibull", "uniform"])
+def test_bound_check_integrate_calls(monkeypatch, d, t, most):
+    assert _integrate_calls(monkeypatch, lambda: bound_check(d, ORD, t=t)) <= most
 
 
 # ---------- characteristic relations ----------
@@ -275,6 +346,12 @@ def test_bounds_dynamic_exponential_skips_failure_interval():
     surv = next(r for r in rep.results if r.name == "interval-logsum-upper-survival")
     assert not surv.applicable  # needs a finite right endpoint
     assert rep.all_hold()
+
+
+@pytest.mark.parametrize("d", [Gamma(2.0), Pareto(1.5, 1.0)], ids=["gamma", "divergent-pareto"])
+def test_bound_check_rejects_nan_t(d):
+    with pytest.raises(GwentropyError, match="NaN"):
+        bound_check(d, ORD, t=math.nan)
 
 
 def test_bound_margin_orientation():

@@ -57,6 +57,14 @@ def test_dynamic_json(capsys):
     assert doc["t"] == 0.7
 
 
+@pytest.mark.parametrize("measure", ["gdwse", "gdwfe"])
+def test_dynamic_nan_t_is_a_domain_error(measure, capsys):
+    code, out, err = run_cli(capsys, "dynamic", "--dist", "gamma(2)", "--measure", measure, "--t", "nan")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "domain" and "NaN" in doc["message"]
+
+
 # ---------- empirical and gof from files ----------
 
 

@@ -275,9 +275,9 @@ def _tanhsinh_integrate(f, a, b, args=()):
     out = np.array(res.integral, dtype=float)
     for i in np.ndindex(out.shape):
         if res.status[i] != 0:
-            row = (a[i], b[i], *(arg[i] for arg in args))
+            row = [np.reshape(v[i], (1, 1)) for v in (a, b, *args)]
             out[i] = scipy.integrate.quad(
-                lambda x: float(inside(np.asarray(x), *row)), a[i], b[i], epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS
+                lambda x: inside(np.full((1, 1), x), *row)[0, 0], a[i], b[i], epsabs=0.0, epsrel=REL_TOL, limit=_quad.MAX_SUBDIVISIONS
             )[0]
     return out
 
@@ -321,6 +321,54 @@ def test_integrate_matches_scipy_tanhsinh(d, side, q, g, weighted):
         _assert_matches_tanhsinh(lambda: integral(d, g, t, "quadrature", weighted))
     except DivergenceError:  # a Pareto tail too heavy for g
         assume(False)
+
+
+@given(
+    d=st.one_of(_FAMILIES, st.builds(Affine, _BASES, st.floats(0.3, 3.0), st.floats(0.0, 2.0))),
+    side=st.sampled_from(["survival", "failure"]),
+    qs=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6),
+    g=st.floats(0.2, 3.0),
+    method=st.sampled_from(["auto", "quadrature"]),
+    weighted=st.booleans(),
+)
+# Power's and Pareto's sf round a Python float and an array apart at some t
+@example(d=Power(2.7, 1.5), side="survival", qs=np.linspace(0.02, 0.98, 49).tolist(), g=0.51, method="quadrature", weighted=True)
+@example(d=Pareto(5.0, 1.0), side="failure", qs=np.linspace(0.02, 0.98, 49).tolist(), g=0.9, method="auto", weighted=False)
+def test_array_t_equals_scalar_calls(d, side, qs, g, method, weighted):
+    # the 0.1 and 0.9 quantiles give each side a window that is split (mass
+    # past 3/4) and one that is not; below the support bottom t is clamped
+    integral = survival_integral if side == "survival" else failure_integral
+    ts = [float(d.quantile(q)) for q in (0.1, 0.9, *qs)]
+    if side == "survival":
+        ts.append(d.support[0] / 2.0)
+    try:
+        got = integral(d, g, np.array([ts]), method, weighted)
+    except DivergenceError:  # a Pareto tail too heavy for g
+        assume(False)
+    want = [integral(d, g, t, method, weighted) for t in ts]
+    assert got.shape == (1, len(ts)) and all(type(v) is float for v in want)
+    np.testing.assert_array_equal(got[0], want)
+
+
+def test_empty_t_gives_an_empty_array():
+    assert survival_integral(Gamma(2.0), 0.51, []).shape == (0,)
+    assert failure_integral(Uniform(0.0, 2.0), 0.51, np.empty((0, 3)), "quadrature").shape == (0, 3)
+
+
+def test_window_mass_is_the_scalar_sf_at_each_t():
+    # Power's sf rounds a Python float and an array apart in the last bit
+    # (numpy scalar pow against array pow): the integrand sees the mass of a
+    # scalar call at each t of an array
+    d = Power(2.7, 1.5)
+    ts = np.linspace(0.2, 1.4, 200)
+    seen = set()
+
+    def fn(x, v, w):
+        seen.update(np.ravel(w).tolist())
+        return np.ones_like(v)
+
+    _quad.window_integral(d, "survival", ts, fn)
+    assert seen == {float(d.sf(t)) for t in ts.tolist()}
 
 
 @pytest.mark.parametrize(
@@ -375,22 +423,20 @@ def test_non_finite_integrand_raises(monkeypatch):
     # without the pdf = 0 guard the window integrand divides by the density
     # where x(v) rounds below this support's bottom; integrate must refuse
     # the inf, where tanhsinh alone would replace it by a finite neighbour
-    def unguarded(d, side, t, g, weighted):
-        log_w = math.log(float(d.sf(t) if side == "survival" else d.cdf(t)))
-
-        def integrand(x, v):
+    def unguarded(d, g, weighted):
+        def integrand(x, v, w):
             with np.errstate(divide="ignore"):
-                p = np.exp(g * (np.log(v) - log_w)) / d.pdf(x)
+                p = np.exp(g * (np.log(v) - np.log(w))) / d.pdf(x)
             return x * p if weighted else p
 
-        return _quad.window_integral(d, side, t, integrand)
+        return integrand
 
     base, a, b = Uniform(0.1, 0.5), 2.1, 1.3
     d = Affine(base, a, b)
     # with the guard: the wrapper's closed form, the affine identity over the base's
     exact = failure_integral(d, 0.51, 2.0, "closed")
     assert failure_integral(d, 0.51, 2.0, "quadrature") == pytest.approx(exact, rel=REL_TOL, abs=0.0)
-    monkeypatch.setattr(_quad, "_power_window", unguarded)
+    monkeypatch.setattr(_quad, "_power", unguarded)
     with pytest.raises(QuadratureError, match="not finite"):
         failure_integral(d, 0.51, 2.0, "quadrature")
 
@@ -568,6 +614,25 @@ def test_dynamic_domain_guards():
         gdwfe(Uniform(0.5, 1.0), ORD, 0.3)  # no mass accumulated yet
     with pytest.raises(GwentropyError):
         gdwse(Exponential(1.0), ORD, -0.1)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Gamma(2.0), Weibull(1.5), Affine(Gamma(2.0), 1.5, 1.0), Exponential(1.0), Uniform(0.5, 2.0)],
+    ids=["gamma", "weibull", "affine-gamma", "exponential", "uniform"],
+)
+def test_nan_t_is_rejected(d):
+    # Gamma's and Weibull's sf clamp x below 0 by a comparison NaN fails, so
+    # sf(nan) reads 1 and an unchecked gdwse(nan) is the static gwse
+    calls = [
+        lambda: gdwse(d, ORD, math.nan),
+        lambda: gdwfe(d, ORD, math.nan),
+        lambda: survival_integral(d, 0.51, np.array([1.0, math.nan])),
+        lambda: failure_integral(d, 0.51, np.array([math.nan, 1.0]), "quadrature"),
+    ]
+    for call in calls:
+        with pytest.raises(GwentropyError, match="NaN"):
+            call()
 
 
 def test_gdwse_at_zero_matches_static():
