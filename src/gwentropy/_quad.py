@@ -160,13 +160,13 @@ def survival_integral(d, g: float, t: float | np.ndarray = 0.0, method: str = "a
 
 def failure_integral(d, g: float, t: float | np.ndarray | None = None, method: str = "auto", weighted: bool = True):
     """Integral of w(x) * (cdf(x)/cdf(s))**g from the support bottom to s =
-    min(t, support top), or the top when t is None; per element of t."""
+    min(t, support top), or the top when t is None; per element of t.
+    DivergenceError where s is an infinite top, as a whole infinite support."""
     hi = d.support[1]
-    if t is None:
-        if math.isinf(hi):
-            raise DivergenceError("failure-side measure diverges on an infinite support")
-        t = hi
-    return _integral(d, "failure", g, np.minimum(t, hi), method, weighted)
+    s = np.minimum(hi if t is None else t, hi)
+    if np.any(np.isposinf(s)):
+        raise DivergenceError("failure-side measure diverges on an infinite support")
+    return _integral(d, "failure", g, s, method, weighted)
 
 
 def _integral(d, side: str, g: float, t: np.floating | np.ndarray, method: str, weighted: bool) -> float | np.ndarray:

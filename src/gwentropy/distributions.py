@@ -154,7 +154,7 @@ class Distribution:
         """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
         bit for bit: one array Philox block put through _quantile.  A family
         with a sampler of its own overrides this with the same sampler run
-        on all rows at once (Gamma; Affine delegates to its base)."""
+        on many rows at once (Gamma; Affine delegates to its base)."""
         return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
 
 
@@ -492,7 +492,12 @@ class Gamma(Distribution):
         return _gamma_rejection(self.shape, n, rng)
 
     def _sample_streams(self, seed, streams, n):
-        return _gamma_streams(self.shape, seed, streams, n)
+        # equal batches within a row of _GAMMA_BATCH_VALUES values: a short one costs full rounds
+        out = np.empty((streams.size, n))
+        batches = -(-streams.size * n // _GAMMA_BATCH_VALUES)
+        for part, rows in zip(np.array_split(streams, batches), np.array_split(out, batches)):
+            _gamma_streams(self.shape, seed, part, rows)
+        return out
 
 
 _TINY = 1e-300
@@ -725,13 +730,19 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product a * b, from 32-bit halves."""
+def _mulhi(a: int, b: np.ndarray, hi: np.ndarray, scratch: list) -> np.ndarray:
+    """The high word of the 128-bit product a * b, from 32-bit halves, into
+    hi and returned, with three buffers of b's shape as scratch."""
     a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LO32, b >> _S32
-    mid = a_hi * b_lo + ((a_lo * b_lo) >> _S32)  # no partial sum here exceeds 2**64 - 1
-    low_mid = a_lo * b_hi + (mid & _LO32)
-    return a_hi * b_hi + (mid >> _S32) + (low_mid >> _S32), np.uint64(a) * b
+    b_lo, low, low_mid = scratch
+    np.multiply(a_hi, np.bitwise_and(b, _LO32, out=b_lo), out=hi)
+    hi += np.right_shift(np.multiply(a_lo, b_lo, out=low), _S32, out=low)  # mid; no partial sum here exceeds 2**64 - 1
+    b_hi = np.right_shift(b, _S32, out=b_lo)
+    np.add(np.multiply(a_lo, b_hi, out=low_mid), np.bitwise_and(hi, _LO32, out=low), out=low_mid)
+    hi >>= _S32
+    hi += np.multiply(a_hi, b_hi, out=b_hi)
+    hi += np.right_shift(low_mid, _S32, out=low_mid)
+    return hi
 
 
 def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> np.ndarray:
@@ -741,23 +752,39 @@ def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> n
 
     The counter enters with c1 = c2 = c3 = 0, so round 1 multiplies only the
     counters, of shape (1 or rows, blocks), and leaves c0 = k0 and c1 = 0;
-    round 2's c0 product is then one Python-int multiply."""
+    round 2's c0 product is then one Python-int multiply.  The rounds run in
+    place in eight (rows, blocks) buffers of one allocation: the state, a
+    high word and the scratch of _mulhi.  One allocation of that size also
+    keeps glibc from trimming the heap under an engine block's temporaries,
+    which then faulted their pages back in at every block."""
     rows, mask = streams.size, 0xFFFFFFFFFFFFFFFF
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
     counters = np.asarray(first_block, dtype=np.uint64).reshape(-1, 1) + np.arange(blocks, dtype=np.uint64)
     k0, k1 = seed & mask, streams.astype(np.uint64).reshape(rows, 1)
-    hi0, lo0 = _mulhilo(_PHILOX_M[0], counters)
-    c2, c3 = hi0 ^ k1, lo0
+    c0, c1, c2, c3, hi, *scratch = np.empty((8, rows, blocks), dtype=np.uint64)
+    m = len(counters)  # 1 or rows
+    np.bitwise_xor(_mulhi(_PHILOX_M[0], counters, hi[:m], [t[:m] for t in scratch]), k1, out=c2)
+    lo0 = counters * m0
     p0 = _PHILOX_M[0] * k0
     # Weyl key bump; uint64 arrays wrap, Python ints are masked
     k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
-    hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-    c0, c1, c2, c3 = hi1 ^ np.uint64(k0), lo1, np.uint64(p0 >> 64) ^ c3 ^ k1, np.uint64(p0 & mask)
+    np.bitwise_xor(_mulhi(_PHILOX_M[1], c2, c0, scratch), np.uint64(k0), out=c0)
+    np.multiply(c2, m1, out=c1)
+    np.bitwise_xor(lo0 ^ np.uint64(p0 >> 64), k1, out=c2)
+    c3.fill(p0 & mask)
     for _ in range(8):
         k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows, 4 * blocks)
+        # c2' goes to hi, and c0' to c0's buffer once c3' = lo(M0 * c0) is taken
+        np.bitwise_xor(_mulhi(_PHILOX_M[0], c0, hi, scratch), c3, out=hi)
+        hi ^= k1
+        np.multiply(c0, m0, out=c3)
+        np.bitwise_xor(_mulhi(_PHILOX_M[1], c2, c0, scratch), c1, out=c0)
+        c0 ^= np.uint64(k0)
+        np.multiply(c2, m1, out=c1)
+        c2, hi = hi, c2
+    words = np.empty((rows, blocks, 4), dtype=np.uint64)
+    words[..., 0], words[..., 1], words[..., 2], words[..., 3] = c0, c1, c2, c3
+    return words.reshape(rows, 4 * blocks)
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
@@ -944,12 +971,16 @@ def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarr
 # round: later rounds and slow ziggurat words mostly fit in them, and a row
 # that reads past them is extended where it stopped
 _GAMMA_SPARE = 0.125
+# values (rows x n) per batch of Gamma._sample_streams: its rounds' words and indices,
+# several times the values', stay at one estimator chunk's (empirical._CHUNK_VALUES)
+_GAMMA_BATCH_VALUES = 16384
 
 
-def _gamma_streams(shape: float, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """Row i is _gamma_rejection(shape, n, SeededSampler(seed, streams[i]).generator()),
-    bit for bit: the same rounds and expressions, with one word position per row."""
-    rows = streams.size
+def _gamma_streams(shape: float, seed: int, streams: np.ndarray, out: np.ndarray) -> None:
+    """Fill row i of the C-order (rows, n) out with _gamma_rejection(shape, n,
+    SeededSampler(seed, streams[i]).generator()), bit for bit: the same rounds
+    and expressions, with one word position per row."""
+    rows, n = out.shape
     boosted = shape < 1.0
     first = (3 if boosted else 2) * n  # the words of a row's boost block and first round
     words = _WordBuffer(seed, streams, first + int(first * _GAMMA_SPARE) + 4)
@@ -961,7 +992,7 @@ def _gamma_streams(shape: float, seed: int, streams: np.ndarray, n: int) -> np.n
         q = q + 1.0
     d = q - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(rows * n, dtype=float)
+    flat = out.reshape(-1)  # a view, out being C-order
     todo = np.arange(rows * n)
     while todo.size:
         k = np.bincount(todo // n, minlength=rows)
@@ -974,12 +1005,10 @@ def _gamma_streams(shape: float, seed: int, streams: np.ndarray, n: int) -> np.n
         ok = v > 0.0
         vs = np.where(ok, v, 1.0)
         accept = ok & (np.log(u) < 0.5 * z * z + d * (1.0 - vs + np.log(vs)))
-        out[todo[accept]] = d * vs[accept]
+        flat[todo[accept]] = d * vs[accept]
         todo = todo[~accept]
-    out = out.reshape(rows, n)
     if boosted:
         out *= boost
-    return out
 
 
 def _checked_unit(u):

@@ -98,9 +98,11 @@ def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:
     return Sample(d.sample_values(n, sampler.generator()))
 
 
-# gaps per chunk of the estimator kernel, and values (rows x n) per block of
-# the replication engine: a chunk's temporaries stay in cache at any n
+# gaps per chunk of the estimator kernel, whose temporaries stay in cache at
+# any n; values (rows x n) per block of the replication engine (gof._replicate),
+# twice a chunk so that each array Philox call covers twice the counters
 _CHUNK_VALUES = 16384
+_BLOCK_VALUES = 2 * _CHUNK_VALUES
 
 
 def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -> np.ndarray:

@@ -15,13 +15,14 @@ One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
 (n << 32) | r).  _replicate takes the replications in blocks of about
-empirical._CHUNK_VALUES = 16 384 values (rows x n), the kernel's own chunk,
-which bounds its memory at any n and B, and draws
-each row with the bits of its stream sampled on its own, from an array
-Philox (Distribution._sample_streams): inversion families (and the PH, PRH
-and Affine wrappers over them) put one block of uniforms through _quantile,
-and Gamma (and Affine over it) replays its rejection rounds on every row
-at once, with ziggurat normals read from the same words.  A block is
+empirical._BLOCK_VALUES = 32 768 values (rows x n), twice the kernel's
+chunk, which bounds its memory at any n and B, and draws each row with the
+bits of its stream sampled on its own, from an array Philox
+(Distribution._sample_streams): inversion families (and the PH, PRH and
+Affine wrappers over them) put one block of uniforms through _quantile, and
+Gamma (and Affine over it) replays its rejection rounds on every row of a
+batch of at most about one chunk at once, with ziggurat normals read from
+the same words.  A block is
 sorted and reduced row-wise by the kernel shared with statistic and the
 empirical estimators, empirical._gap_sums, and _t_parts, statistic's own
 tail, finishes the whole block's T with math.log and math.exp mapped over
@@ -40,7 +41,7 @@ import numpy as np
 
 from ._quad import _mapped
 from .distributions import Distribution, Exponential
-from .empirical import _CHUNK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
+from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -165,13 +166,14 @@ def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, s
     gamma, delta = cfg.order.gamma, cfg.order.delta
     include_head = cfg.variant is EstimatorVariant.FULL_STEP
     prefix = np.uint64((tag << 56) | (n << 32))
-    rows = max(1, _CHUNK_VALUES // n)
+    rows = max(1, _BLOCK_VALUES // n)
     out = np.empty(stop - start)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
         x = d._sample_streams(cfg.seed, prefix | np.arange(lo, hi, dtype=np.uint64), n)
         x.sort(axis=1)
         out[lo - start : hi - start] = _t_parts(_gap_sums(x, gamma, True, include_head), x.mean(axis=1), gamma, delta)[2]
+        del x  # before the next block's draw, not after it
     return out
 
 

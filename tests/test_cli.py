@@ -296,6 +296,12 @@ def test_domain_error_divergence(capsys):
     assert "diverge" in doc["message"].lower()
 
 
+def test_domain_error_divergence_of_gdwfe_at_infinite_t(capsys):
+    code, out, err = run_cli(capsys, "dynamic", "--dist", "gamma(2)", "--measure", "gdwfe", "--t", "inf")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "divergence", "message": "failure-side measure diverges on an infinite support"}
+
+
 def test_domain_error_invalid_order(capsys):
     code, _, err = run_cli(capsys, "entropy", "--dist", "exp(1)", "--alpha", "2.0", "--beta", "1.25")
     assert code == 1

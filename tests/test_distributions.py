@@ -29,6 +29,7 @@ from gwentropy.distributions import (
     _philox_words,
     from_spec,
 )
+from gwentropy.empirical import _BLOCK_VALUES
 from gwentropy.errors import DivergenceError, GwentropyError
 
 ALL_FAMILIES = [
@@ -317,6 +318,19 @@ def test_philox_words_from_per_row_counters_match_numpy_philox(seed, rows, block
         np.testing.assert_array_equal(row, bits.random_raw(4 * blocks))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_philox_words_at_the_engine_block_size_match_numpy_philox(n):
+    # one engine block's call, _BLOCK_VALUES // n rows of ceil(n / 4) counters
+    # (8 192 and 13 106 counters), checked at both ends and in between
+    rows, blocks = _BLOCK_VALUES // n, -(-n // 4)
+    seed, streams = 2**64 - 59, np.uint64((1 << 56) | (n << 32)) | np.arange(rows, dtype=np.uint64)
+    words = _philox_words(seed, streams, 1, blocks)
+    assert rows * blocks >= 8192 and words.shape == (rows, 4 * blocks)
+    for i in (0, 1, rows // 3, rows // 2, rows - 2, rows - 1):
+        bits = np.random.Philox(key=np.array([seed, streams[i]], dtype=np.uint64))
+        np.testing.assert_array_equal(words[i], bits.random_raw(4 * blocks))
+
+
 def _words_drawn(rng: np.random.Generator) -> int:
     """64-bit words a generator's Philox has handed out since it was made."""
     state = rng.bit_generator.state
@@ -428,10 +442,11 @@ def test_ziggurat_slow_paths_are_taken(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [0.3, 1.0, 5.0, 50.0])
-@pytest.mark.parametrize("n,count,spare", [(3, 400, None), (2000, 3, 0.0)])
+@pytest.mark.parametrize("n,count,spare", [(3, 400, None), (2000, 3, 0.0), (100, 400, None)])
 def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
     # with no spare share a row's first buffer holds its boost block, its
-    # first round and a few words more, which 2000 values overrun
+    # first round and a few words more, which 2000 values overrun; 400 rows
+    # of 100 values run in three batches of rejection rounds
     calls = []
 
     def counted(*args):

@@ -19,7 +19,7 @@ from gwentropy import (
     statistic,
 )
 from gwentropy.distributions import Exponential, SeededSampler, Uniform
-from gwentropy.empirical import _CHUNK_VALUES, _gap_sums
+from gwentropy.empirical import _BLOCK_VALUES, _CHUNK_VALUES, _gap_sums
 from gwentropy.errors import DegenerateSampleError, GwentropyError
 
 ORD = EntropyOrder(0.26, 1.25)
@@ -134,7 +134,7 @@ def test_gap_sums_match_whole_array_formula(gaps):
             assert _gap_sums(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
 
 
-@pytest.mark.parametrize("shape", [(_CHUNK_VALUES // 4, 4), (_CHUNK_VALUES // 20, 20), (_CHUNK_VALUES // 100, 100), (1, _CHUNK_VALUES + 7)])
+@pytest.mark.parametrize("shape", [(_BLOCK_VALUES // 4, 4), (_BLOCK_VALUES // 20, 20), (_BLOCK_VALUES // 100, 100), (1, _CHUNK_VALUES + 7)])
 def test_gap_sums_match_whole_array_formula_row_wise(shape):
     # blocks shaped as the replication engine passes them, and one row wider than a chunk
     x = _sorted_exponential(shape, shape[1])

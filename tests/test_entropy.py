@@ -597,6 +597,20 @@ def test_gwfe_requires_finite_top():
         gfe(Gamma(2.0), ORD)
 
 
+@pytest.mark.parametrize("d", [Gamma(2.0), Exponential(1.0), Weibull(1.5)], ids=lambda d: type(d).__name__)
+def test_failure_side_at_infinite_t_diverges_on_an_infinite_support(d):
+    # min(inf, inf) = inf makes the window the whole support, as t = None does
+    with pytest.raises(DivergenceError):
+        gdwfe(d, ORD, math.inf)
+    with pytest.raises(DivergenceError):
+        gdwfe_max_order_stat(d, ORD, 3, math.inf)
+    with pytest.raises(DivergenceError):
+        failure_integral(d, ORD.gamma, math.inf)
+    with pytest.raises(DivergenceError):
+        failure_integral(d, ORD.gamma, np.array([1.0, math.inf]))
+    assert failure_integral(Uniform(0.0, 2.0), ORD.gamma, math.inf) == failure_integral(Uniform(0.0, 2.0), ORD.gamma)
+
+
 def test_pareto_tail_divergence():
     # shape * gamma must exceed 2 for the weighted survival integral
     o = ORD  # gamma = 0.51

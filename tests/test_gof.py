@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gwentropy import (
 )
 from gwentropy.distributions import (
     Affine,
+    Distribution,
     Exponential,
     Gamma,
     Pareto,
@@ -31,6 +33,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
+from gwentropy.empirical import _BLOCK_VALUES
 from gwentropy.errors import DegenerateSampleError, GwentropyError, MissingTableEntryError
 
 ORD = EntropyOrder(0.26, 1.25)
@@ -283,10 +286,11 @@ ENGINE_CASES = [
 
 @pytest.mark.parametrize("variant", list(EstimatorVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("d", ENGINE_CASES)
-@pytest.mark.parametrize("n,start,stop", [(20, 0, 30), (3000, 3, 15)])
+@pytest.mark.parametrize("n,start,stop", [(20, 0, 30), (3000, 3, 15), (_BLOCK_VALUES // 5, 3, 15)])
 def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, stop):
-    # n = 3000 puts 16384 // 3000 = 5 replications in a block, so [3, 15)
-    # spans three blocks, the last one short
+    # [3, 15) spans two blocks at n = 3000 (_BLOCK_VALUES // 3000 = 10
+    # replications a block) and three at n = _BLOCK_VALUES // 5 (5 a block),
+    # the last one short either way; Gamma runs a 5-row block in two batches
     from gwentropy.gof import _replicate
 
     cfg = TestConfig(seed=2**64 - 59, variant=variant)
@@ -297,6 +301,30 @@ def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, s
         for r in range(start, stop)
     ]
     assert t.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "d,n,bound_mb",
+    [(Exponential(1.0), 4, 1.5), (Exponential(1.0), 5, 1.5), (Exponential(1.0), 20, 1.5), (Exponential(1.0), 100, 1.5),
+     (Gamma(5.0), 5, 3.0), (Gamma(5.0), 100, 3.0)],
+    ids=lambda v: type(v).__name__ if isinstance(v, Distribution) else None,
+)
+def test_replication_engine_peak_memory_is_a_few_blocks(d, n, bound_mb):
+    # Philox rounds in place and Gamma's rejection rounds on at most a chunk's
+    # rows keep one call's traced peak near a few blocks of 8-byte values:
+    # 0.9-1.4 MB and 1.9-2.5 MB measured, 4.6 MB for Gamma without the batches
+    from gwentropy.gof import _replicate
+
+    cfg = TestConfig(seed=3)
+    stop = 2 * (_BLOCK_VALUES // n)
+    _replicate(d, 2, cfg, n, 0, stop)  # first call outside the trace: lazy imports and caches
+    tracemalloc.start()
+    try:
+        _replicate(d, 2, cfg, n, 0, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20
 
 
 # ---------- running the test ----------
