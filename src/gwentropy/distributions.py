@@ -152,9 +152,10 @@ class Distribution:
 
     def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
         """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
-        bit for bit: one array Philox block put through _quantile.  A family
-        with a sampler of its own overrides this with the same sampler run
-        on many rows at once (Gamma; Affine delegates to its base)."""
+        bit for bit: one array Philox block put through _quantile (Gamma runs
+        its rejection rounds on many rows at once; Affine delegates to its
+        base).  The replication engine draws here; empirical.sample draws the
+        same values, sorted, through sample_values."""
         return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
 
 
@@ -489,14 +490,17 @@ class Gamma(Distribution):
         return x[()]
 
     def sample_values(self, n, rng):
-        return _gamma_rejection(self.shape, n, rng)
+        out = np.empty((1, n))
+        _gamma_rounds(self.shape, _GeneratorWords(rng), out)
+        return out[0]
 
     def _sample_streams(self, seed, streams, n):
         # equal batches within a row of _GAMMA_BATCH_VALUES values: a short one costs full rounds
         out = np.empty((streams.size, n))
-        batches = -(-streams.size * n // _GAMMA_BATCH_VALUES)
+        first = (3 if self.shape < 1.0 else 2) * n  # the words of a row's boost block and first round
+        batches = min(streams.size, -(-streams.size * n // _GAMMA_BATCH_VALUES))
         for part, rows in zip(np.array_split(streams, batches), np.array_split(out, batches)):
-            _gamma_streams(self.shape, seed, part, rows)
+            _gamma_rounds(self.shape, _WordBuffer(seed, part, first + int(first * _GAMMA_SPARE) + 4), rows)
         return out
 
 
@@ -931,40 +935,23 @@ class _WordBuffer:
         return made, x, used
 
 
+class _GeneratorWords:
+    """_gamma_rounds' one row of words, drawn from a Generator as asked for."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def doubles(self, rows, pos, k):
+        return self.rng.random(int(k[0]))
+
+    def normals(self, rows, pos, k):
+        return self.rng.standard_normal(int(k[0])), pos
+
+
 def _ragged(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment and offset within it of each element of consecutive segments of these lengths."""
     seg = np.repeat(np.arange(lens.size), lens)
     return seg, np.arange(seg.size) - (np.cumsum(lens) - lens)[seg]
-
-
-def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Gamma(shape, 1) sampler via the squeeze-free Marsaglia-Tsang method.
-
-    Vectorized rejection in rounds; the draw order depends only on the
-    acceptance pattern, so output is a pure function of the stream state.
-    """
-    q = shape
-    boost = None
-    if q < 1.0:
-        # Gamma(q) = Gamma(q + 1) * U ** (1/q); consume the boost block first
-        boost = rng.random(n) ** (1.0 / q)
-        q = q + 1.0
-    d = q - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n, dtype=float)
-    todo = np.arange(n)
-    while todo.size:
-        z = rng.standard_normal(todo.size)
-        u = rng.random(todo.size)
-        v = (1.0 + c * z) ** 3
-        pos = v > 0.0
-        vs = np.where(pos, v, 1.0)
-        accept = pos & (np.log(u) < 0.5 * z * z + d * (1.0 - vs + np.log(vs)))
-        out[todo[accept]] = d * vs[accept]
-        todo = todo[~accept]
-    if boost is not None:
-        out *= boost
-    return out
 
 
 # spare words in a row's first buffer, as a share of its boost block and first
@@ -976,18 +963,19 @@ _GAMMA_SPARE = 0.125
 _GAMMA_BATCH_VALUES = 16384
 
 
-def _gamma_streams(shape: float, seed: int, streams: np.ndarray, out: np.ndarray) -> None:
-    """Fill row i of the C-order (rows, n) out with _gamma_rejection(shape, n,
-    SeededSampler(seed, streams[i]).generator()), bit for bit: the same rounds
-    and expressions, with one word position per row."""
+def _gamma_rounds(shape: float, words, out: np.ndarray) -> None:
+    """Fill the C-order (rows, n) out with Gamma(shape, 1) draws by the
+    squeeze-free Marsaglia-Tsang method, row i from row i of words (a
+    _WordBuffer, or _GeneratorWords on one Generator).  Vectorized rejection
+    in rounds: each reads a row's normals, then its doubles, one of each per
+    value the row lacks, so a row is a pure function of its own words."""
     rows, n = out.shape
-    boosted = shape < 1.0
-    first = (3 if boosted else 2) * n  # the words of a row's boost block and first round
-    words = _WordBuffer(seed, streams, first + int(first * _GAMMA_SPARE) + 4)
     pos = np.zeros(rows, dtype=np.int64)
+    boosted = shape < 1.0
     q = shape
     if boosted:
-        boost = _doubles(words.words[:, :n]) ** (1.0 / q)
+        # Gamma(q) = Gamma(q + 1) * U ** (1/q); consume the boost block first
+        boost = words.doubles(np.arange(rows), pos, np.full(rows, n)).reshape(rows, n) ** (1.0 / q)
         pos += n
         q = q + 1.0
     d = q - 1.0 / 3.0

@@ -18,9 +18,10 @@ Replication r at size n draws from SeededSampler(seed, (tag << 56) |
 empirical._BLOCK_VALUES = 32 768 values (rows x n), twice the kernel's
 chunk, which bounds its memory at any n and B, and draws each row with the
 bits of its stream sampled on its own, from an array Philox
-(Distribution._sample_streams): inversion families (and the PH, PRH and
-Affine wrappers over them) put one block of uniforms through _quantile, and
-Gamma (and Affine over it) replays its rejection rounds on every row of a
+(Distribution._sample_streams, the values empirical.sample draws too):
+inversion families (and the PH, PRH and Affine wrappers over them) put one
+block of uniforms through _quantile, and Gamma (and Affine over it) runs its
+one set of rejection rounds, distributions._gamma_rounds, on every row of a
 batch of at most about one chunk at once, with ziggurat normals read from
 the same words.  A block is
 sorted and reduced row-wise by the kernel shared with statistic and the

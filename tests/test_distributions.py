@@ -29,7 +29,7 @@ from gwentropy.distributions import (
     _philox_words,
     from_spec,
 )
-from gwentropy.empirical import _BLOCK_VALUES
+from gwentropy.empirical import _BLOCK_VALUES, sample
 from gwentropy.errors import DivergenceError, GwentropyError
 
 ALL_FAMILIES = [
@@ -441,12 +441,52 @@ def test_ziggurat_slow_paths_are_taken(monkeypatch):
     assert beyond.min() < 0.0 < beyond.max()
 
 
+def _gamma_rejection(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Gamma(shape, 1) sampler via the squeeze-free Marsaglia-Tsang method.
+
+    Vectorized rejection in rounds; the draw order depends only on the
+    acceptance pattern, so output is a pure function of the stream state.
+    """
+    q = shape
+    boost = None
+    if q < 1.0:
+        # Gamma(q) = Gamma(q + 1) * U ** (1/q); consume the boost block first
+        boost = rng.random(n) ** (1.0 / q)
+        q = q + 1.0
+    d = q - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n, dtype=float)
+    todo = np.arange(n)
+    while todo.size:
+        z = rng.standard_normal(todo.size)
+        u = rng.random(todo.size)
+        v = (1.0 + c * z) ** 3
+        pos = v > 0.0
+        vs = np.where(pos, v, 1.0)
+        accept = pos & (np.log(u) < 0.5 * z * z + d * (1.0 - vs + np.log(vs)))
+        out[todo[accept]] = d * vs[accept]
+        todo = todo[~accept]
+    if boost is not None:
+        out *= boost
+    return out
+
+
+def _assert_same_position(rng: np.random.Generator, reference: np.random.Generator) -> None:
+    a, b = rng.bit_generator.state, reference.bit_generator.state
+    np.testing.assert_array_equal(a["state"]["counter"], b["state"]["counter"])
+    assert a["buffer_pos"] == b["buffer_pos"]
+
+
 @pytest.mark.parametrize("shape", [0.3, 1.0, 5.0, 50.0])
 @pytest.mark.parametrize("n,count,spare", [(3, 400, None), (2000, 3, 0.0), (100, 400, None)])
 def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
-    # with no spare share a row's first buffer holds its boost block, its
-    # first round and a few words more, which 2000 values overrun; 400 rows
-    # of 100 values run in three batches of rejection rounds
+    # _gamma_rejection above, the rounds written out on one Generator, is the
+    # reference for both word sources of distributions._gamma_rounds: the
+    # engine's rows, and Gamma.sample_values, which must also leave its
+    # Generator where the reference leaves it, fresh or already used.  With no
+    # spare share a row's first buffer holds its boost block, its first round
+    # and a few words more, which 2000 values overrun; 400 rows of 100 values
+    # run in three batches of rejection rounds
     calls = []
 
     def counted(*args):
@@ -460,9 +500,43 @@ def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
     streams = np.uint64((2 << 56) | (n << 32)) | np.arange(count, dtype=np.uint64)
     x = Gamma(shape)._sample_streams(seed, streams, n)
     for row, stream in zip(x, streams.tolist()):
-        np.testing.assert_array_equal(row, Gamma(shape).sample_values(n, SeededSampler(seed, stream).generator()))
+        reference, rng = SeededSampler(seed, stream).generator(), SeededSampler(seed, stream).generator()
+        expected = _gamma_rejection(shape, n, reference)
+        np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(Gamma(shape).sample_values(n, rng), expected)
+        _assert_same_position(rng, reference)
+        # the same two Generators, used: a second draw from where the first stopped
+        np.testing.assert_array_equal(Gamma(shape).sample_values(n, rng), _gamma_rejection(shape, n, reference))
+        _assert_same_position(rng, reference)
     if spare == 0.0:
         assert len(calls) > 1
+
+
+_SEEDED_PATH_CASES = ALL_FAMILIES + [
+    Affine(Gamma(0.7), 2.0, 0.5),
+    ProportionalHazards(Weibull(1.5), 2.0),
+    ProportionalReverseHazards(Rayleigh(0.7), 0.5),
+]
+
+
+@pytest.mark.parametrize("n", [1, 20, 5000])
+@pytest.mark.parametrize("d", _SEEDED_PATH_CASES, ids=lambda d: type(d).__name__)
+def test_sample_is_the_engine_row_sorted(d, n):
+    # sample() draws through sample_values on the sampler's Generator, the
+    # engine through _sample_streams: the same values on the same key
+    seed, stream = 2**64 - 59, (5 << 56) | (n << 32) | 17
+    values = sample(d, n, SeededSampler(seed, stream)).values
+    np.testing.assert_array_equal(values, np.sort(d._sample_streams(seed, np.array([stream], dtype=np.uint64), n)[0]))
+    np.testing.assert_array_equal(values, np.sort(d.sample_values(n, SeededSampler(seed, stream).generator())))
+
+
+@pytest.mark.parametrize("seed,stream", [(7, -1), (2**70 + 1, 2**64 + 9), (-3, 5)])
+def test_sample_reduces_the_key_modulo_2_64(seed, stream):
+    # seed and stream outside [0, 2**64) draw what the engine draws on the reduced key
+    streams = np.array([stream % 2**64], dtype=np.uint64)
+    for d in (Exponential(1.0), Gamma(5.0)):
+        expected = np.sort(d._sample_streams(seed % 2**64, streams, 5)[0])
+        np.testing.assert_array_equal(sample(d, 5, SeededSampler(seed, stream)).values, expected)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
