@@ -170,19 +170,31 @@ def failure_integral(d, g: float, t: float | np.ndarray | None = None, method: s
 
 
 def _integral(d, side: str, g: float, t: np.floating | np.ndarray, method: str, weighted: bool) -> float | np.ndarray:
-    """The power integral at the clamped t by the route `method` picks."""
+    """The power integral at the clamped t by the route `method` picks;
+    GwentropyError where it is not a positive finite number, its scale
+    outside the float range."""
     ts, masses = _masses(d, side, t)
     survival = side == "survival"
     if survival:
         d._check_tail(g, weighted=weighted)
     if method not in _METHODS:
         raise GwentropyError(f"unknown method {method!r}")
-    value = None if method == "quadrature" else (d._survival_closed if survival else d._failure_closed)(g, t, weighted)
+    value = None
+    if method != "quadrature":
+        # a closed form whose scale leaves the float range overflows, underflows or raises
+        with np.errstate(all="ignore"):
+            try:
+                value = (d._survival_closed if survival else d._failure_closed)(g, t, weighted)
+            except ArithmeticError:
+                value = math.nan
     if value is None:
         if method == "closed":
             raise GwentropyError("no closed form for this family")
         value = _window(d, side, ts, masses, _power(d, g, weighted)).reshape(t.shape)
-    return np.full(t.shape, value) if isinstance(t, np.ndarray) else float(value)
+    array = isinstance(t, np.ndarray)
+    if not (np.all((value > 0.0) & (value < math.inf)) if array else 0.0 < value < math.inf):
+        raise GwentropyError(f"the {side} integral is not a positive finite number: its scale leaves the float range")
+    return np.full(t.shape, value) if array else float(value)
 
 
 def _masses(d, side: str, t: float | np.ndarray) -> tuple[list, list]:

@@ -21,6 +21,7 @@ Checks report residuals and margins; they do not assert.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -285,16 +286,14 @@ class BoundReport:
         return not self.failures(tol)
 
 
-def _skip(name: str, reason: str) -> BoundResult:
-    return BoundResult(name, math.nan, math.nan, math.nan, False, reason)
-
-
-def _upper(name: str, lhs: float, rhs: float) -> BoundResult:
-    return BoundResult(name, lhs, rhs, rhs - lhs, True)
-
-
-def _lower(name: str, lhs: float, rhs: float) -> BoundResult:
-    return BoundResult(name, lhs, rhs, lhs - rhs, True)
+def _bound(name: str, skip: str | None, sign: float, values: Callable[[], tuple[float, float]]) -> BoundResult:
+    """The bound `name`: skipped for the reason `skip` if one is set, else
+    (lhs, rhs) = values() with margin sign * (rhs - lhs), sign +1 for an
+    upper bound and -1 for a lower one (written so a tie's zero is +0.0)."""
+    if skip:
+        return BoundResult(name, math.nan, math.nan, math.nan, False, skip)
+    lhs, rhs = values()
+    return BoundResult(name, lhs, rhs, sign * rhs - sign * lhs, True)
 
 
 def _shannon_rhs(d, t: float, side: str) -> float:
@@ -338,44 +337,23 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
     g = order.gamma
     dl = order.delta
     lo, hi = d.support
-    finite = math.isfinite(hi)
-    results: list[BoundResult] = []
+    low_gamma = "requires gamma >= 1" if g < 1.0 else None
+    unbounded = None if math.isfinite(hi) else "requires a finite support"
 
     try:
-        svalue = gwse(d, order).value
+        svalue, sreason = gwse(d, order).value, None
     except DivergenceError as exc:
-        svalue = None
-        sreason = str(exc)
-    fvalue = gwfe(d, order).value if finite else None
-
-    # ---- weighted-moment upper bounds (need gamma >= 1) ----
-    if g < 1.0:
-        results.append(_skip("wmrl-upper", "requires gamma >= 1"))
-    elif svalue is None:
-        results.append(_skip("wmrl-upper", sreason))
-    else:
-        results.append(_upper("wmrl-upper", svalue, math.log(d.wmrl(0.0)) / dl))
-
-    if not finite:
-        results.append(_skip("wmit-upper", "requires a finite support"))
-    elif g < 1.0:
-        results.append(_skip("wmit-upper", "requires gamma >= 1"))
-    else:
-        results.append(_upper("wmit-upper", fvalue, math.log(d.wmit(hi)) / dl))
-
-    # ---- Shannon lower bounds ----
-    # at t = 0 and at the support top both sides condition on nothing, so
-    # they share the right-hand side H(X) + E[log X]
-    rhs = _shannon_rhs(d, 0.0, "survival") if svalue is not None or finite else None
-    if svalue is None:
-        results.append(_skip("shannon-lower-survival", sreason))
-    else:
-        results.append(_lower("shannon-lower-survival", dl * svalue + g, rhs))
-    if finite:
-        results.append(_lower("shannon-lower-failure", dl * fvalue + g, rhs))
-    else:
-        results.append(_skip("shannon-lower-failure", "requires a finite support"))
-
+        svalue, sreason = None, str(exc)
+    fvalue = None if unbounded else gwfe(d, order).value
+    # at t = 0 and at the support top both sides condition on nothing, so the
+    # Shannon lower bounds share the right-hand side H(X) + E[log X]
+    shannon = functools.cache(lambda: _shannon_rhs(d, 0.0, "survival"))
+    results = [
+        _bound("wmrl-upper", low_gamma or sreason, 1, lambda: (svalue, math.log(d.wmrl(0.0)) / dl)),
+        _bound("wmit-upper", unbounded or low_gamma, 1, lambda: (fvalue, math.log(d.wmit(hi)) / dl)),
+        _bound("shannon-lower-survival", sreason, -1, lambda: (dl * svalue + g, shannon())),
+        _bound("shannon-lower-failure", unbounded, -1, lambda: (dl * fvalue + g, shannon())),
+    ]
     if t is None:
         return BoundReport(order, None, tuple(results))
 
@@ -384,29 +362,20 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
         raise GwentropyError("t must not be NaN")
     # the tail check behind a divergence does not depend on t, so the static
     # measure's outcome stands for the dynamic one
-    skip_survival = "survival is zero at t" if float(d.sf(t)) <= 0.0 else sreason if svalue is None else None
-    skip_failure = "cdf is zero at t" if float(d.cdf(t)) <= 0.0 else None
     outside = "requires t inside the support"
     sides = [
         # side, moment bound, why its three bounds skip, measure, moment at t, why the interval bound skips
-        ("survival", "wmrl", skip_survival, gdwse, lambda: d.wmrl(t),
-         "requires a finite support" if not finite else None if lo <= t < hi else outside),
-        ("failure", "wmit", skip_failure, gdwfe, lambda: d.wmit(min(t, hi)), None if lo < t <= hi else outside),
+        ("survival", "wmrl", "survival is zero at t" if float(d.sf(t)) <= 0.0 else sreason, gdwse,
+         lambda: d.wmrl(t), unbounded or (None if lo <= t < hi else outside)),
+        ("failure", "wmit", "cdf is zero at t" if float(d.cdf(t)) <= 0.0 else None, gdwfe,
+         lambda: d.wmit(min(t, hi)), None if lo < t <= hi else outside),
     ]
     for side, moment, skip, measure, moment_at_t, interval_skip in sides:
-        names = (f"{moment}-upper-dynamic", f"shannon-lower-{side}-dynamic", f"interval-logsum-upper-{side}")
-        if skip is not None:
-            results.extend(_skip(name, skip) for name in names)
-            continue
-        value = measure(d, order, t).value
-        if g < 1.0:
-            results.append(_skip(names[0], "requires gamma >= 1"))
-        else:
-            results.append(_upper(names[0], value, math.log(moment_at_t()) / dl))
-        results.append(_lower(names[1], dl * value + g, _shannon_rhs(d, t, side)))
-        if interval_skip is not None:
-            results.append(_skip(names[2], interval_skip))
-        else:
-            results.append(_upper(names[2], value, _logsum_rhs(d, order, t, side, value)))
+        value = None if skip else measure(d, order, t).value
+        results += [
+            _bound(f"{moment}-upper-dynamic", skip or low_gamma, 1, lambda: (value, math.log(moment_at_t()) / dl)),
+            _bound(f"shannon-lower-{side}-dynamic", skip, -1, lambda: (dl * value + g, _shannon_rhs(d, t, side))),
+            _bound(f"interval-logsum-upper-{side}", skip or interval_skip, 1, lambda: (value, _logsum_rhs(d, order, t, side, value))),
+        ]
 
     return BoundReport(order, t, tuple(results))

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .gof import (
     DEFAULT_LEVELS,
+    DEFAULT_ORDER,
     CriticalTable,
     TestConfig,
     critical_values,
@@ -360,12 +361,12 @@ def _cmd_verify(args) -> int:
 
 
 def _add_order_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.26, help="order parameter alpha")
-    p.add_argument("--beta", type=float, default=1.25, help="order parameter beta")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ORDER.alpha, help="order parameter alpha")
+    p.add_argument("--beta", type=float, default=DEFAULT_ORDER.beta, help="order parameter beta")
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--replications", "-B", type=_positive_int, default=10000, help="Monte-Carlo replications")
+    p.add_argument("--replications", "-B", type=_positive_int, default=TestConfig.replications, help="Monte-Carlo replications")
     # argparse parses a string default through type, so a malformed GWENTROPY_SEED is a usage error
     p.add_argument(
         "--seed", type=int, default=os.environ.get("GWENTROPY_SEED") or "0",
@@ -414,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gof-test", help="test a sample for exponentiality")
     p.add_argument("--data", required=True, help="file of values, or '-' for stdin")
     p.add_argument("--column", help="CSV column name")
-    p.add_argument("--level", type=float, default=0.05, help="significance level")
+    p.add_argument("--level", type=float, default=TestConfig.level, help="significance level")
     p.add_argument("--table", help="critical-table JSON produced by critical-table")
     p.add_argument("--no-simulate", action="store_true", help="fail instead of simulating a missing critical value")
     _add_order_args(p)

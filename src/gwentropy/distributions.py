@@ -199,10 +199,6 @@ class Exponential(Distribution):
     def _hazard(self, x):
         return np.where(np.asarray(x, dtype=float) < 0.0, 0.0, self.rate)
 
-    def hazard(self, t):
-        _require(t >= 0.0, "hazard defined on t >= 0")
-        return self.rate
-
     def _survival_closed(self, g, t, weighted):
         lg = self.rate * g
         return (1.0 + t * lg) / lg**2 if weighted else 1.0 / lg

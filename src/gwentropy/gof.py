@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,11 @@ __all__ = [
     "run_test",
     "power_study",
     "DEFAULT_LEVELS",
+    "DEFAULT_ORDER",
 ]
 
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
+DEFAULT_ORDER = EntropyOrder(0.26, 1.25)
 
 _TAG_NULL = 1
 _TAG_ALT = 2
@@ -71,7 +73,7 @@ class TestConfig:
 
     __test__ = False  # not a test case, despite the name
 
-    order: EntropyOrder = field(default_factory=lambda: EntropyOrder(0.26, 1.25))
+    order: EntropyOrder = DEFAULT_ORDER
     level: float = 0.05
     replications: int = 10000
     seed: int = 0
@@ -144,7 +146,7 @@ def statistic(
 ) -> TestStatistic:
     """Evaluate the exponentiality statistic on a sample."""
     if order is None:
-        order = EntropyOrder(0.26, 1.25)
+        order = DEFAULT_ORDER
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
     mean = s.values.mean()

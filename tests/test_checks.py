@@ -1,9 +1,12 @@
 """Analytic consistency checks: recovery, monotonicity, identities, bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwentropy import (
     EntropyOrder,
@@ -31,7 +34,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
-from gwentropy.errors import GwentropyError
+from gwentropy.errors import DivergenceError, GwentropyError
 
 ORD = EntropyOrder(0.26, 1.25)
 ORD2 = EntropyOrder(0.8, 1.1)
@@ -267,6 +270,32 @@ def test_identity_checks_take_the_wrapper_by_quadrature(monkeypatch):
     assert res.survival < 1e-9 and res.failure < 1e-9
 
 
+@st.composite
+def _base_and_order(draw):
+    order = draw(st.sampled_from([ORD, ORD2, ORD_BIG]))
+    d = draw(st.one_of(
+        st.builds(Exponential, st.floats(0.2, 5.0)),
+        st.builds(Weibull, st.floats(0.3, 4.0)),
+        st.builds(Gamma, st.floats(0.3, 8.0)),
+        st.builds(Rayleigh, st.floats(0.2, 5.0)),
+        st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(0.0, 2.0), st.floats(0.1, 3.0)),
+        st.builds(Power, st.floats(0.2, 5.0), st.floats(0.5, 3.0)),
+        # shape * gamma >= 3 keeps the tail off the band where quadrature
+        # misses the mass below its smallest node
+        st.builds(lambda k, scale: Pareto(k / order.gamma, scale), st.floats(3.0, 8.0), st.floats(0.3, 3.0)),
+    ))
+    return d, order
+
+
+@given(base=_base_and_order(), scale=st.floats(0.2, 5.0), shift=st.floats(0.0, 3.0), q=st.none() | st.floats(0.01, 0.99))
+def test_affine_identity_property(base, scale, shift, q):
+    d, order = base
+    t = None if q is None else float(Affine(d, scale, shift).quantile(q))
+    res = affine_identity_check(d, order, scale, shift, t)
+    assert res.survival <= 1e-9
+    assert res.failure is None or res.failure <= 1e-9
+
+
 def test_affine_identity_rejects_bad_transform():
     with pytest.raises(GwentropyError):
         affine_identity_check(Exponential(1.0), ORD, scale=-1.0, shift=0.0)
@@ -362,9 +391,74 @@ def test_bound_margin_orientation():
         if not r.applicable:
             continue
         if "upper" in r.name:
-            assert r.margin == pytest.approx(r.rhs - r.lhs, rel=1e-12)
+            assert r.margin == r.rhs - r.lhs
         else:
-            assert r.margin == pytest.approx(r.lhs - r.rhs, rel=1e-12)
+            assert r.margin == r.lhs - r.rhs
+
+
+_G, _F, _I = "requires gamma >= 1", "requires a finite support", "requires t inside the support"
+_S, _C = "survival is zero at t", "cdf is zero at t"
+_D = "integral of x * sf**0.51 diverges for Pareto tail index 1.5 (needs shape * 0.51 > 2)"
+_BOUND_NAMES = (
+    "wmrl-upper", "wmit-upper", "shannon-lower-survival", "shannon-lower-failure",
+    "wmrl-upper-dynamic", "shannon-lower-survival-dynamic", "interval-logsum-upper-survival",
+    "wmit-upper-dynamic", "shannon-lower-failure-dynamic", "interval-logsum-upper-failure",
+)
+_NEGATIVE_T = GwentropyError("t must be nonnegative")
+_INFINITE_T = DivergenceError("failure-side measure diverges on an infinite support")
+_HEAVY_MOMENT = DivergenceError("integral of x * sf**1 diverges for Pareto tail index 1.5 (needs shape * 1 > 2)")
+# per case, the skip reason of each bound in _BOUND_NAMES order (None where
+# it is evaluated), or the error bound_check raises; t runs over None, below
+# the support, inside it and at or past its top
+_BOUND_TABLE = [
+    (Exponential(1.3), ORD, None, (_G, _F, None, _F)),
+    (Exponential(1.3), ORD, -1.0, _NEGATIVE_T),
+    (Exponential(1.3), ORD, 0.8, (_G, _F, None, _F, _G, None, _F, _G, None, None)),
+    (Exponential(1.3), ORD, math.inf, _INFINITE_T),
+    (Exponential(1.3), ORD_BIG, None, (None, _F, None, _F)),
+    (Exponential(1.3), ORD_BIG, -1.0, _NEGATIVE_T),
+    (Exponential(1.3), ORD_BIG, 0.8, (None, _F, None, _F, None, None, _F, None, None, None)),
+    (Exponential(1.3), ORD_BIG, math.inf, _INFINITE_T),
+    (Uniform(0.2, 1.6), ORD, None, (_G, _G, None, None)),
+    (Uniform(0.2, 1.6), ORD, 0.1, (_G, _G, None, None, _G, None, _I, _C, _C, _C)),
+    (Uniform(0.2, 1.6), ORD, 0.9, (_G, _G, None, None, _G, None, None, _G, None, None)),
+    (Uniform(0.2, 1.6), ORD, 1.6, (_G, _G, None, None, _S, _S, _S, _G, None, None)),
+    (Uniform(0.2, 1.6), ORD, 2.0, (_G, _G, None, None, _S, _S, _S, _G, None, _I)),
+    (Uniform(0.2, 1.6), ORD_BIG, None, (None, None, None, None)),
+    (Uniform(0.2, 1.6), ORD_BIG, 0.1, (None, None, None, None, None, None, _I, _C, _C, _C)),
+    (Uniform(0.2, 1.6), ORD_BIG, 0.9, (None,) * 10),
+    (Uniform(0.2, 1.6), ORD_BIG, 1.6, (None, None, None, None, _S, _S, _S, None, None, None)),
+    (Uniform(0.2, 1.6), ORD_BIG, 2.0, (None, None, None, None, _S, _S, _S, None, None, _I)),
+    (Pareto(1.5, 1.0), ORD, None, (_G, _F, _D, _F)),
+    (Pareto(1.5, 1.0), ORD, 0.5, (_G, _F, _D, _F, _D, _D, _D, _C, _C, _C)),
+    (Pareto(1.5, 1.0), ORD, 2.0, (_G, _F, _D, _F, _D, _D, _D, _G, None, None)),
+    (Pareto(1.5, 1.0), ORD, math.inf, _INFINITE_T),
+    # gwse converges at gamma = 1.9, but wmrl (gamma = 1) diverges
+    (Pareto(1.5, 1.0), ORD_BIG, None, _HEAVY_MOMENT),
+    (Pareto(1.5, 1.0), ORD_BIG, 0.5, _HEAVY_MOMENT),
+    (Pareto(1.5, 1.0), ORD_BIG, 2.0, _HEAVY_MOMENT),
+    (Pareto(1.5, 1.0), ORD_BIG, math.inf, _HEAVY_MOMENT),
+    (Weibull(1.5), ORD, None, (_G, _F, None, _F)),
+    (Weibull(1.5), ORD, -1.0, _NEGATIVE_T),
+    (Weibull(1.5), ORD, 0.8, (_G, _F, None, _F, _G, None, _F, _G, None, None)),
+    (Weibull(1.5), ORD, math.inf, _INFINITE_T),
+    (Weibull(1.5), ORD_BIG, None, (None, _F, None, _F)),
+    (Weibull(1.5), ORD_BIG, -1.0, _NEGATIVE_T),
+    (Weibull(1.5), ORD_BIG, 0.8, (None, _F, None, _F, None, None, _F, None, None, None)),
+    (Weibull(1.5), ORD_BIG, math.inf, _INFINITE_T),
+]
+
+
+@pytest.mark.parametrize("d,order,t,expected", _BOUND_TABLE)
+def test_bound_report_names_and_skip_reasons(d, order, t, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            bound_check(d, order, t=t)
+        return
+    rep = bound_check(d, order, t=t)
+    assert [(r.name, r.applicable, r.reason) for r in rep.results] == [
+        (name, reason is None, reason) for name, reason in zip(_BOUND_NAMES, expected)
+    ]
 
 
 def test_bound_report_failures_empty_on_valid_cases():

@@ -302,6 +302,13 @@ def test_domain_error_divergence_of_gdwfe_at_infinite_t(capsys):
     assert json.loads(err) == {"error": "divergence", "message": "failure-side measure diverges on an infinite support"}
 
 
+@pytest.mark.parametrize("spec", ["gamma(1e-300)", "uniform(0,1e-300)", "exp(4.5e206)", "exp(2.6e-240)"])
+def test_domain_error_integral_outside_the_float_range(spec, capsys):
+    code, out, err = run_cli(capsys, "entropy", "--dist", spec)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
 def test_domain_error_invalid_order(capsys):
     code, _, err = run_cli(capsys, "entropy", "--dist", "exp(1)", "--alpha", "2.0", "--beta", "1.25")
     assert code == 1

@@ -61,6 +61,13 @@ def test_exponential_shapes():
     assert d.pdf(-1.0) == 0.0 and d.sf(-1.0) == 1.0
 
 
+@pytest.mark.parametrize("d", [Exponential(1.0), Weibull(1.0), Gamma(1.0)], ids=["exponential", "weibull", "gamma"])
+@pytest.mark.parametrize("t,rate", [(-1.0, 0.0), (0.7, 1.0)])
+def test_unit_exponential_hazard_is_one_rate_in_three_families(d, t, rate):
+    # Weibull(1) and Gamma(1) are Exponential(1): rate 1 on the support, 0 below it
+    assert d.hazard(t) == rate
+
+
 def test_pareto_shapes():
     d = Pareto(3.0, 2.0)
     assert d.support == (2.0, math.inf)

@@ -355,6 +355,18 @@ def test_empty_t_gives_an_empty_array():
     assert failure_integral(Uniform(0.0, 2.0), 0.51, np.empty((0, 3)), "quadrature").shape == (0, 3)
 
 
+@pytest.mark.parametrize(
+    "d", [Gamma(1e-300), Uniform(0.0, 1e-300), Exponential(4.5e206), Exponential(2.6e-240)], ids=["gamma", "uniform", "exp-big", "exp-small"]
+)
+def test_integral_outside_the_float_range_is_a_typed_error(d):
+    # the integral over- or underflows, by closed form or by quadrature,
+    # where its log, the measure, would be an ordinary number
+    with pytest.raises(GwentropyError, match="not a positive finite number"):
+        gwse(d, ORD)
+    with pytest.raises(GwentropyError, match="not a positive finite number"):
+        survival_integral(d, 0.51, np.zeros(2))
+
+
 def test_window_mass_is_the_scalar_sf_at_each_t():
     # Power's sf rounds a Python float and an array apart in the last bit
     # (numpy scalar pow against array pow): the integrand sees the mass of a
