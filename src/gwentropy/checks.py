@@ -296,6 +296,14 @@ def _bound(name: str, skip: str | None, sign: float, values: Callable[[], tuple[
     return BoundResult(name, lhs, rhs, sign * rhs - sign * lhs, True)
 
 
+def _unless_divergent(call: Callable[[], object]) -> tuple[object, str | None]:
+    """(call(), None), or (None, the message) where call raises DivergenceError."""
+    try:
+        return call(), None
+    except DivergenceError as exc:
+        return None, str(exc)
+
+
 def _shannon_rhs(d, t: float, side: str) -> float:
     """H + E[log X] of X | X > t (side 'survival'; t = 0 gives H(X) + E[log X])
     or of X | X <= t ('failure'), both over the same conditioning window."""
@@ -331,7 +339,8 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
 
     Upper bounds through the weighted residual moments (wmrl / wmit) rest
     on sf**gamma <= sf, so they require gamma >= 1 and are reported as
-    inapplicable otherwise.  The Shannon lower bounds and the interval
+    inapplicable otherwise, and the wmrl bounds are skipped where wmrl
+    diverges.  The Shannon lower bounds and the interval
     log-sum upper bounds hold for every valid order.
     """
     g = order.gamma
@@ -340,16 +349,15 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
     low_gamma = "requires gamma >= 1" if g < 1.0 else None
     unbounded = None if math.isfinite(hi) else "requires a finite support"
 
-    try:
-        svalue, sreason = gwse(d, order).value, None
-    except DivergenceError as exc:
-        svalue, sreason = None, str(exc)
+    svalue, sreason = _unless_divergent(lambda: gwse(d, order).value)
+    # wmrl is the weighted integral at gamma = 1, which diverges on tails where gwse may not
+    _, wmrl_reason = _unless_divergent(lambda: d._check_tail(1.0))
     fvalue = None if unbounded else gwfe(d, order).value
     # at t = 0 and at the support top both sides condition on nothing, so the
     # Shannon lower bounds share the right-hand side H(X) + E[log X]
     shannon = functools.cache(lambda: _shannon_rhs(d, 0.0, "survival"))
     results = [
-        _bound("wmrl-upper", low_gamma or sreason, 1, lambda: (svalue, math.log(d.wmrl(0.0)) / dl)),
+        _bound("wmrl-upper", low_gamma or sreason or wmrl_reason, 1, lambda: (svalue, math.log(d.wmrl(0.0)) / dl)),
         _bound("wmit-upper", unbounded or low_gamma, 1, lambda: (fvalue, math.log(d.wmit(hi)) / dl)),
         _bound("shannon-lower-survival", sreason, -1, lambda: (dl * svalue + g, shannon())),
         _bound("shannon-lower-failure", unbounded, -1, lambda: (dl * fvalue + g, shannon())),
@@ -364,16 +372,18 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
     # measure's outcome stands for the dynamic one
     outside = "requires t inside the support"
     sides = [
-        # side, moment bound, why its three bounds skip, measure, moment at t, why the interval bound skips
+        # side, moment bound, why its three bounds skip, measure, moment at t,
+        # why the moment bound skips, why the interval bound skips
         ("survival", "wmrl", "survival is zero at t" if float(d.sf(t)) <= 0.0 else sreason, gdwse,
-         lambda: d.wmrl(t), unbounded or (None if lo <= t < hi else outside)),
+         lambda: d.wmrl(t), wmrl_reason, unbounded or (None if lo <= t < hi else outside)),
         ("failure", "wmit", "cdf is zero at t" if float(d.cdf(t)) <= 0.0 else None, gdwfe,
-         lambda: d.wmit(min(t, hi)), None if lo < t <= hi else outside),
+         lambda: d.wmit(min(t, hi)), None, None if lo < t <= hi else outside),
     ]
-    for side, moment, skip, measure, moment_at_t, interval_skip in sides:
+    for side, moment, skip, measure, moment_at_t, moment_skip, interval_skip in sides:
         value = None if skip else measure(d, order, t).value
         results += [
-            _bound(f"{moment}-upper-dynamic", skip or low_gamma, 1, lambda: (value, math.log(moment_at_t()) / dl)),
+            _bound(f"{moment}-upper-dynamic", skip or low_gamma or moment_skip, 1,
+                   lambda: (value, math.log(moment_at_t()) / dl)),
             _bound(f"shannon-lower-{side}-dynamic", skip, -1, lambda: (dl * value + g, _shannon_rhs(d, t, side))),
             _bound(f"interval-logsum-upper-{side}", skip or interval_skip, 1, lambda: (value, _logsum_rhs(d, order, t, side, value))),
         ]

@@ -153,9 +153,10 @@ class Distribution:
     def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
         """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
         bit for bit: one array Philox block put through _quantile (Gamma runs
-        its rejection rounds on many rows at once; Affine delegates to its
-        base).  The replication engine draws here; empirical.sample draws the
-        same values, sorted, through sample_values."""
+        its rejection rounds on every row at once, in one workspace; Affine
+        delegates to its base).  The replication engine draws here, a block
+        at a time; empirical.sample draws the same values, sorted, through
+        sample_values."""
         return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
 
 
@@ -320,7 +321,8 @@ class Power(Distribution):
         x = np.asarray(x, dtype=float)
         inside = (x >= 0.0) & (x <= self.upper)
         xs = np.where(inside, x, self.upper)
-        return np.where(inside, self.shape * xs ** (self.shape - 1.0) / self.upper**self.shape, 0.0)
+        with np.errstate(divide="ignore"):  # at 0, inf for shape < 1
+            return np.where(inside, self.shape * xs ** (self.shape - 1.0) / self.upper**self.shape, 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -393,9 +395,10 @@ class Weibull(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x > 0.0
+        inside = x >= 0.0  # 0 ** (shape - 1) is the right limit at 0: inf, 1 or 0
         xs = np.where(inside, x, 1.0)
-        return np.where(inside, self.shape * xs ** (self.shape - 1.0) * np.exp(-(xs**self.shape)), 0.0)
+        with np.errstate(divide="ignore"):
+            return np.where(inside, self.shape * xs ** (self.shape - 1.0) * np.exp(-(xs**self.shape)), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -422,8 +425,9 @@ class Weibull(Distribution):
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x > 0.0
-        return np.where(inside, self.shape * np.where(inside, x, 1.0) ** (self.shape - 1.0), 0.0)
+        inside = x >= 0.0
+        with np.errstate(divide="ignore"):
+            return np.where(inside, self.shape * np.where(inside, x, 1.0) ** (self.shape - 1.0), 0.0)
 
 
 class Gamma(Distribution):
@@ -433,14 +437,20 @@ class Gamma(Distribution):
         _require(shape > 0.0, "shape must be positive")
         self.shape = float(shape)
         self.support = (0.0, math.inf)
+        # the density's right limit at 0, which the hazard shares since sf(0) = 1
+        self._at_zero = math.inf if shape < 1.0 else 1.0 if shape == 1.0 else 0.0
 
     def _log_pdf(self, xs):
         return (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
 
+    def _outside(self, x):
+        """pdf and hazard at x <= 0: the right limit at 0, and 0 below it."""
+        return np.where(x == 0.0, self._at_zero, 0.0)
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = x > 0.0
-        return np.where(inside, np.exp(self._log_pdf(np.where(inside, x, 1.0))), 0.0)
+        return np.where(inside, np.exp(self._log_pdf(np.where(inside, x, 1.0))), self._outside(x))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -470,7 +480,7 @@ class Gamma(Distribution):
         x = np.asarray(x, dtype=float)
         inside = x > 0.0
         xs = np.where(inside, x, 1.0)
-        return np.where(inside, np.exp(self._log_pdf(xs) - self._log_sf(xs)), 0.0)
+        return np.where(inside, np.exp(self._log_pdf(xs) - self._log_sf(xs)), self._outside(x))
 
     def _isf_log(self, log_v):
         log_v = np.asarray(log_v, dtype=float)
@@ -491,12 +501,10 @@ class Gamma(Distribution):
         return out[0]
 
     def _sample_streams(self, seed, streams, n):
-        # equal batches within a row of _GAMMA_BATCH_VALUES values: a short one costs full rounds
-        out = np.empty((streams.size, n))
         first = (3 if self.shape < 1.0 else 2) * n  # the words of a row's boost block and first round
-        batches = min(streams.size, -(-streams.size * n // _GAMMA_BATCH_VALUES))
-        for part, rows in zip(np.array_split(streams, batches), np.array_split(out, batches)):
-            _gamma_rounds(self.shape, _WordBuffer(seed, part, first + int(first * _GAMMA_SPARE) + 4), rows)
+        words = _WordBuffer(seed, streams, first + int(first * _GAMMA_SPARE) + 4)
+        out = np.empty((streams.size, n))  # after the words: the Philox rounds' buffers are gone by now
+        _gamma_rounds(self.shape, words, out)
         return out
 
 
@@ -806,28 +814,53 @@ _WI = np.array(_ziggurat.WI_BITS, dtype=np.uint64).view(np.float64)
 _FI = np.array(_ziggurat.FI_BITS, dtype=np.uint64).view(np.float64)
 _RABS = np.uint64(0x000FFFFFFFFFFFFF)
 _LAYER = np.uint64(0xFF)
+_SIGN = np.uint64(0x100)
 _ROW_KEY = 1 << 40  # a slow word's key is row * _ROW_KEY + column
 _NO_KEY = np.iinfo(np.int64).max
+_SCAN_WORDS = 16384  # words per step of _slow_keys
 
 
-def _fast_normals(words: np.ndarray) -> np.ndarray:
-    """The fast-path normal of each word, +-rabs * WI[idx]."""
-    idx = words & _LAYER
-    x = ((words >> np.uint64(9)) & _RABS).astype(float) * _WI.take(idx)
-    return np.where(words & np.uint64(0x100), -x, x)
+def _fast_normals(w: np.ndarray, out: np.ndarray, layer: np.ndarray) -> np.ndarray:
+    """The fast-path normal of each word of w, +-rabs * WI[idx], into out and
+    returned; w and layer, an int64 array of w's size, are overwritten."""
+    np.bitwise_and(w, _LAYER, out=layer.view(np.uint64))
+    _WI.take(layer, out=out, mode="clip")
+    negative = np.bitwise_and(w, _SIGN, out=layer.view(np.uint64)).astype(bool)
+    np.right_shift(w, np.uint64(9), out=w)
+    w &= _RABS
+    np.multiply(w, out, out=out)  # rabs as a double, times WI[idx]
+    return np.negative(out, out=out, where=negative)
 
 
 def _slow_keys(rows: np.ndarray, start: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Keys of the words of row block `words` (row i of it is row rows[i],
-    from column start[i] on) that miss the ziggurat's fast path."""
-    r, c = np.nonzero(((words >> np.uint64(9)) & _RABS) >= _KI.take(words & _LAYER))
-    return rows[r] * _ROW_KEY + start[r] + c
+    from column start[i] on) that miss the ziggurat's fast path, scanned a
+    few rows at a time so no temporary is the size of the block."""
+    keys = []
+    step = max(1, _SCAN_WORDS // words.shape[1])
+    for lo in range(0, rows.size, step):
+        part = words[lo : lo + step]
+        layer = (part & _LAYER).view(np.intp)  # take would copy uint64 indices to intp
+        r, c = np.nonzero(((part >> np.uint64(9)) & _RABS) >= _KI.take(layer))
+        keys.append(rows[lo + r] * _ROW_KEY + start[lo + r] + c)
+    return np.concatenate(keys)
+
+
+def _buffers(k: np.ndarray, out, scratch) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """out and the (int64, uint64) scratch pair for k.sum() values, new where not given."""
+    size = int(k.sum())
+    if scratch is None:
+        scratch = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint64))
+    return (np.empty(size) if out is None else out), scratch
 
 
 class _WordBuffer:
     """Each row's Philox words from the start of its stream, grown row by row
     where it stopped when a row asks for more, and the sorted keys of the
-    words that miss the ziggurat's fast path."""
+    words that miss the ziggurat's fast path.
+
+    doubles and normals write into a given out and gather their words through
+    a given scratch pair (_gamma_rounds' workspace), or into new arrays."""
 
     def __init__(self, seed: int, streams: np.ndarray, width: int):
         rows, blocks = streams.size, -(-width // 4)
@@ -855,46 +888,76 @@ class _WordBuffer:
         """Word cols[i] of row rows[i]."""
         return self.words.take(rows * self.words.shape[1] + cols)
 
-    def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """k[i] doubles of row rows[i] from word pos[i] on, flattened row by row."""
+    def _gather(self, rows, pos, k, idx, w, skips=None) -> np.ndarray:
+        """Into w, one word for each of k[i] > 0 outputs of row rows[i],
+        flattened row by row: consecutive words from pos[i] on, but where skips
+        (a row's place in rows, an output, the extra words before it) adds
+        some.  idx, as long, holds the flat word indices: a running sum of
+        steps of 1, the skips, and at each row's first output the jump from
+        the previous row's last word."""
+        first = rows * self.words.shape[1] + pos
+        last = first + (k - 1)
+        starts = np.cumsum(k) - k
+        idx, w = idx[: starts[-1] + k[-1]], w[: starts[-1] + k[-1]]
+        idx.fill(1)
+        if skips is not None:
+            np.add.at(last, skips[0], skips[2])
+        first[1:] -= last[:-1]
+        idx[starts] = first
+        if skips is not None:
+            np.add.at(idx, skips[1], skips[2])
+        return self.words.take(np.cumsum(idx, out=idx), out=w, mode="clip")
+
+    def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """k[i] > 0 doubles of row rows[i] from word pos[i] on, flattened row by row."""
         self.reserve(rows, pos + k)
-        seg, j = _ragged(k)
-        return _doubles(self.at(rows[seg], pos[seg] + j))
+        out, (idx, w) = _buffers(k, out, scratch)
+        w = np.right_shift(self._gather(rows, pos, k, idx, w), np.uint64(11), out=w)
+        return np.multiply(w, 2.0**-53, out=out)  # numpy's next_double, as _doubles
 
-    def normals(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """k[i] standard normals of row rows[i] from word pos[i] on, as numpy's
-        Generator.standard_normal draws them, flattened row by row; and the
-        word position after each row's last one.
+    def normals(
+        self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out=None, scratch=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """k[i] > 0 standard normals of row rows[i] from word pos[i] on, as
+        numpy's Generator.standard_normal draws them, flattened row by row;
+        and the word position after each row's last one.
 
-        Each row's normals are fast-path runs between slow words; the slow
-        words are taken in increasing word order, all rows at once.
+        Each row's normals are fast-path words between slow words; the slow
+        words are taken in increasing word order, all rows at once, and then
+        every normal's word is gathered in one pass, a slow word's normal
+        replaced afterwards.
         """
+        out, (idx, w) = _buffers(k, out, scratch)
         end = np.cumsum(k)
-        z = np.empty(int(end[-1]))
         dst, p = end - k, pos.copy()
-        runs = []  # (row, first word, first output, length) of the fast runs
+        skips, slow = [], []  # (row place, output, extra words before it); (output, normal)
         live = np.arange(rows.size)
         while live.size:
             need = end[live] - dst[live]
             self.reserve(rows[live], p[live] + need)
             key = rows[live] * _ROW_KEY + p[live]
-            gap = self.slow[np.searchsorted(self.slow, key)] - key
-            hit = gap < need
-            run = np.where(hit, gap, need)
-            runs.append((rows[live], p[live], dst[live], run))
+            run = np.subtract(self.slow[np.searchsorted(self.slow, key)], key, out=key)  # to the next slow word
+            hit = run < need
+            np.minimum(run, need, out=run)
             p[live] += run
             dst[live] += run
             live = live[hit]
             if live.size:
                 made, value, used = self._slow_normals(rows[live], p[live])
-                z[dst[live[made]]] = value[made]
+                slow.append((dst[live[made]], value[made]))
+                # the next output's word is `used` on, less the one a normal made here takes
+                skips.append((live, dst[live] + made, used - made))
                 dst[live] += made
                 p[live] += used
                 live = live[dst[live] < end[live]]
-        r, first, out, run = (np.concatenate(col) for col in zip(*runs))
-        seg, j = _ragged(run)
-        z[out[seg] + j] = _fast_normals(self.at(r[seg], first[seg] + j))
-        return z, p
+        if skips:
+            row, at, extra = (np.concatenate(col) for col in zip(*skips))
+            inside = at < end[row]  # a skip after a row's last normal moves no word of it
+            skips = row[inside], at[inside], extra[inside]
+        _fast_normals(self._gather(rows, pos, k, idx, w, skips or None), out, idx[: out.size])
+        for at, value in slow:
+            out[at] = value
+        return out, p
 
     def _slow_normals(self, rows: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slow path of the ziggurat word at pos[i] of row rows[i]: whether
@@ -906,7 +969,7 @@ class _WordBuffer:
         w = self.at(rows, pos)
         idx = (w & _LAYER).astype(np.intp)
         rabs = (w >> np.uint64(9)) & _RABS
-        x = _fast_normals(w)
+        x = _fast_normals(w, np.empty(w.size), np.empty(w.size, dtype=np.int64))
         # the wedge of layer idx > 0: one double against the density
         u = _doubles(self.at(rows, pos + 1))
         density = np.array([math.exp(e) for e in (-0.5 * x * x).tolist()])
@@ -937,26 +1000,17 @@ class _GeneratorWords:
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def doubles(self, rows, pos, k):
-        return self.rng.random(int(k[0]))
+    def doubles(self, rows, pos, k, out, scratch):
+        return self.rng.random(out=out)
 
-    def normals(self, rows, pos, k):
-        return self.rng.standard_normal(int(k[0])), pos
-
-
-def _ragged(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segment and offset within it of each element of consecutive segments of these lengths."""
-    seg = np.repeat(np.arange(lens.size), lens)
-    return seg, np.arange(seg.size) - (np.cumsum(lens) - lens)[seg]
+    def normals(self, rows, pos, k, out, scratch):
+        return self.rng.standard_normal(out=out), pos
 
 
 # spare words in a row's first buffer, as a share of its boost block and first
 # round: later rounds and slow ziggurat words mostly fit in them, and a row
 # that reads past them is extended where it stopped
 _GAMMA_SPARE = 0.125
-# values (rows x n) per batch of Gamma._sample_streams: its rounds' words and indices,
-# several times the values', stay at one estimator chunk's (empirical._CHUNK_VALUES)
-_GAMMA_BATCH_VALUES = 16384
 
 
 def _gamma_rounds(shape: float, words, out: np.ndarray) -> None:
@@ -964,35 +1018,65 @@ def _gamma_rounds(shape: float, words, out: np.ndarray) -> None:
     squeeze-free Marsaglia-Tsang method, row i from row i of words (a
     _WordBuffer, or _GeneratorWords on one Generator).  Vectorized rejection
     in rounds: each reads a row's normals, then its doubles, one of each per
-    value the row lacks, so a row is a pure function of its own words."""
+    value the row lacks, so a row is a pure function of its own words.
+
+    The rounds' per-value arrays are rows of one workspace, written in place:
+    the normals z, the doubles u, an int64 and a uint64 row through which a
+    _WordBuffer gathers its words and which then hold v = (1 + c z)**3 and the
+    accept test's sums, and for shape < 1 the boost block.  The first round
+    draws for every value, so it needs no index array and takes out itself
+    as scratch; later ones draw for the few values still missing."""
     rows, n = out.shape
-    pos = np.zeros(rows, dtype=np.int64)
     boosted = shape < 1.0
+    work = np.empty((5 if boosted else 4, rows * n))
+    idx, w = work[2].view(np.int64), work[3].view(np.uint64)  # v's and a's rows
+    flat = out.reshape(-1)  # a view, out being C-order
+    pos = np.zeros(rows, dtype=np.int64)
     q = shape
     if boosted:
         # Gamma(q) = Gamma(q + 1) * U ** (1/q); consume the boost block first
-        boost = words.doubles(np.arange(rows), pos, np.full(rows, n)).reshape(rows, n) ** (1.0 / q)
+        boost = words.doubles(np.arange(rows), pos, np.full(rows, n), work[4], (idx, w))
+        boost **= 1.0 / q
         pos += n
         q = q + 1.0
     d = q - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    flat = out.reshape(-1)  # a view, out being C-order
-    todo = np.arange(rows * n)
-    while todo.size:
-        k = np.bincount(todo // n, minlength=rows)
-        live = np.flatnonzero(k)
-        k = k[live]
-        z, pos[live] = words.normals(live, pos[live], k)
-        u = words.doubles(live, pos[live], k)
+    todo = None  # every value in the first round, then the indices still to draw
+    while todo is None or todo.size:
+        if todo is None:
+            live, k = np.arange(rows), np.full(rows, n)
+        else:
+            k = np.bincount(todo // n, minlength=rows)
+            live = np.flatnonzero(k)
+            k = k[live]
+        m = k.sum()
+        z, u, v, a = work[:4, :m]
+        scratch = (idx[:m], w[:m])
+        pos[live] = words.normals(live, pos[live], k, z, scratch)[1]
+        words.doubles(live, pos[live], k, u, scratch)
         pos[live] += k
-        v = (1.0 + c * z) ** 3
+        # accept v = (1 + c z)**3 > 0 where log u < z * z / 2 + d (1 - v + log v)
+        np.multiply(z, c, out=v)
+        v += 1.0
+        v **= 3
         ok = v > 0.0
-        vs = np.where(ok, v, 1.0)
-        accept = ok & (np.log(u) < 0.5 * z * z + d * (1.0 - vs + np.log(vs)))
-        flat[todo[accept]] = d * vs[accept]
-        todo = todo[~accept]
+        v[~ok] = 1.0
+        np.multiply(z, 0.5, out=a)
+        a *= z
+        np.subtract(1.0, v, out=z)
+        z += np.log(v, out=flat if todo is None else None)
+        z *= d
+        a += z
+        accept = np.less(np.log(u, out=u), a)
+        accept &= ok
+        if todo is None:
+            np.multiply(v, d, out=flat)  # where rejected, a later round writes over it
+            todo = np.flatnonzero(~accept)
+        else:
+            flat[todo[accept]] = d * v[accept]
+            todo = todo[~accept]
     if boosted:
-        out *= boost
+        flat *= boost
 
 
 def _checked_unit(u):

@@ -21,9 +21,10 @@ bits of its stream sampled on its own, from an array Philox
 (Distribution._sample_streams, the values empirical.sample draws too):
 inversion families (and the PH, PRH and Affine wrappers over them) put one
 block of uniforms through _quantile, and Gamma (and Affine over it) runs its
-one set of rejection rounds, distributions._gamma_rounds, on every row of a
-batch of at most about one chunk at once, with ziggurat normals read from
-the same words.  A block is
+one set of rejection rounds, distributions._gamma_rounds, on every row of
+the block at once, with ziggurat normals read from the same words and the
+rounds' per-value arrays in one workspace of four arrays of the block's
+values.  A block is
 sorted and reduced row-wise by the kernel shared with statistic and the
 empirical estimators, empirical._gap_sums, and _t_parts, statistic's own
 tail, finishes the whole block's T with math.log and math.exp mapped over

@@ -309,6 +309,22 @@ def test_domain_error_integral_outside_the_float_range(spec, capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+def test_domain_error_near_zero_power_shape_under_warnings_as_errors():
+    # Power(1e-300, 1) puts its whole mass at 0, where the density is inf:
+    # the quadrature reads it there without a warning and the integral then
+    # fails its range check, so -W error still ends in one JSON line
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gwentropy", "entropy", "--dist", "power(1e-300,1)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
+
+
 def test_domain_error_invalid_order(capsys):
     code, _, err = run_cli(capsys, "entropy", "--dist", "exp(1)", "--alpha", "2.0", "--beta", "1.25")
     assert code == 1

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from gwentropy import _ziggurat, distributions
+from gwentropy import EntropyOrder, _ziggurat, distributions
+from gwentropy.checks import gdwse_derivative
 from gwentropy.distributions import (
     Affine,
     Exponential,
@@ -66,6 +67,18 @@ def test_exponential_shapes():
 def test_unit_exponential_hazard_is_one_rate_in_three_families(d, t, rate):
     # Weibull(1) and Gamma(1) are Exponential(1): rate 1 on the support, 0 below it
     assert d.hazard(t) == rate
+
+
+def test_unit_exponential_reads_its_right_limit_at_zero():
+    # at the support bottom the density and the hazard are their right limits,
+    # rate 1 in all three, so gdwse's slope there is gamma * 1 / delta in each
+    order = EntropyOrder(0.26, 1.25)
+    families = [Exponential(1.0), Weibull(1.0), Gamma(1.0)]
+    assert [(d.pdf(0.0), d.hazard(0.0)) for d in families] == [(1.0, 1.0)] * 3
+    assert [gdwse_derivative(d, order, 0.0) for d in families] == [order.gamma / order.delta] * 3
+    # the same limits for other shapes: inf below 1, 0 above
+    others = (Weibull(0.5), Gamma(0.5), Weibull(2.0), Gamma(2.0))
+    assert [float(d.pdf(0.0)) for d in others] == [math.inf, math.inf, 0.0, 0.0]
 
 
 def test_pareto_shapes():
@@ -493,7 +506,7 @@ def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
     # Generator where the reference leaves it, fresh or already used.  With no
     # spare share a row's first buffer holds its boost block, its first round
     # and a few words more, which 2000 values overrun; 400 rows of 100 values
-    # run in three batches of rejection rounds
+    # run as one set of rounds over 40 000 values, more than an engine block
     calls = []
 
     def counted(*args):

@@ -295,7 +295,8 @@ ENGINE_CASES = [
 def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, stop):
     # [3, 15) spans two blocks at n = 3000 (_BLOCK_VALUES // 3000 = 10
     # replications a block) and three at n = _BLOCK_VALUES // 5 (5 a block),
-    # the last one short either way; Gamma runs a 5-row block in two batches
+    # the last one short either way; Gamma runs each block's rows, 10 or 5 or
+    # fewer, as one set of rejection rounds
     from gwentropy.gof import _replicate
 
     cfg = TestConfig(seed=2**64 - 59, variant=variant)
@@ -315,9 +316,11 @@ def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, s
     ids=lambda v: type(v).__name__ if isinstance(v, Distribution) else None,
 )
 def test_replication_engine_peak_memory_is_a_few_blocks(d, n, bound_mb):
-    # Philox rounds in place and Gamma's rejection rounds on at most a chunk's
-    # rows keep one call's traced peak near a few blocks of 8-byte values:
-    # 0.9-1.4 MB and 1.9-2.5 MB measured, 4.6 MB for Gamma without the batches
+    # Philox rounds in place, and Gamma's rejection rounds over a whole block
+    # in a workspace of four arrays of its values, keep one call's traced peak
+    # near a few blocks of 8-byte values: 0.9-1.4 MB, and 2.9 MB (n = 5) and
+    # 2.0 MB (n = 100) for Gamma, whose rounds with a temporary for each
+    # step took 4.6 MB over a whole block
     from gwentropy.gof import _replicate
 
     cfg = TestConfig(seed=3)
@@ -332,17 +335,35 @@ def test_replication_engine_peak_memory_is_a_few_blocks(d, n, bound_mb):
     assert peak <= bound_mb * 2**20
 
 
+def _minor_faults(script: str) -> int:
+    """The count a script prints: minor page faults it takes in a fresh
+    interpreter, without MALLOC_* or GLIBC_TUNABLES settings, which raise
+    glibc's mmap and trim thresholds and would hide the faults."""
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the fault count follows glibc's malloc")
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**env, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 _FAULTS_SCRIPT = """
 import resource
 from gwentropy import TestConfig
-from gwentropy.distributions import Exponential
+from gwentropy.distributions import Exponential, Gamma
 from gwentropy.gof import _replicate
 
-cfg = TestConfig(replications=10000, seed=1)
-_replicate(Exponential(1.0), 1, cfg, 4, 0, 100)
+d, cfg, sizes = {dist}, TestConfig(replications=10000, seed=1), {sizes}
+_replicate(d, {tag}, cfg, sizes[0], 0, 100)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for n in range(4, 31):
-    _replicate(Exponential(1.0), 1, cfg, n, 0, 10000)
+for n in sizes:
+    _replicate(d, {tag}, cfg, n, 0, 10000)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -353,22 +374,24 @@ def test_replication_engine_keeps_its_heap_pages():
     # working set.  With the buffers split, glibc trims the heap under the
     # blocks and faults it back in: the table rows n = 4..30 at B = 10000 took
     # 26 500-38 500 minor faults against 630-1 610 with one allocation.  The
-    # count depends on the heap's history, so it is taken in a fresh interpreter
-    # with no MALLOC_* or GLIBC_TUNABLES settings (raised thresholds would hide the faults); the
-    # rows run from n = 4 up, since the small-n rows' first allocations are
-    # what raise the thresholds, and that order is part of what is checked
-    pytest.importorskip("resource")
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the fault count follows glibc's malloc")
-    import gwentropy
+    # count depends on the heap's history, so it is taken in a fresh
+    # interpreter; the rows run from n = 4 up, since the small-n rows' first
+    # allocations are what raise the thresholds, and that order is part of
+    # what is checked
+    script = _FAULTS_SCRIPT.format(dist="Exponential(1.0)", tag=1, sizes="range(4, 31)")
+    assert _minor_faults(script) < 6000  # about 23 MB of 4 KiB pages
 
-    src = str(Path(gwentropy.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True, text=True, env={**env, "PYTHONPATH": src}
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 6000  # about 23 MB of 4 KiB pages
+
+def test_gamma_replication_keeps_its_heap_pages():
+    # Gamma's rejection rounds keep their per-value arrays in one workspace
+    # and run over a whole engine block, a working set that stays under the
+    # trim threshold the Philox's round buffers set.  With the rounds' old
+    # temporaries, in batches of 16 384 values, glibc trimmed the heap after
+    # each batch: the power-alt sizes n = 5..100 at B = 10000 took 5 000-52 000
+    # minor faults, run to run, against 1 100-1 400 now, most of them the first
+    # block's first touch of its pages
+    script = _FAULTS_SCRIPT.format(dist="Gamma(5.0)", tag=2, sizes=(5, 10, 15, 20, 50, 100))
+    assert _minor_faults(script) < 5000  # about 20 MB of 4 KiB pages
 
 
 # ---------- running the test ----------
