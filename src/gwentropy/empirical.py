@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from ._quad import _mapped
 from .distributions import Distribution, SeededSampler
 from .entropy import EntropyOrder
 from .errors import DegenerateSampleError, GwentropyError
@@ -135,11 +134,11 @@ def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -
     return total
 
 
-def _log_gap_sum(totals: np.ndarray) -> np.ndarray:
-    """Log of each gap sum; math.log, not np.log, keeps the simulated tables' bits."""
-    if not totals.min() > 0.0:  # a NaN minimum fails too
+def _log_gap_sum(total: float) -> float:
+    """Log of a gap sum; math.log, not np.log, keeps the simulated tables' bits."""
+    if not total > 0.0:  # NaN fails too
         raise DegenerateSampleError("empirical integral is zero; sample carries no spread")
-    return _mapped(math.log, totals)
+    return math.log(total)
 
 
 def empirical_gwse(
@@ -156,7 +155,7 @@ def empirical_gwse(
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
     total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
-    return _log_gap_sum(total[None]).item() / order.delta
+    return _log_gap_sum(float(total)) / order.delta
 
 
 def empirical_gwfe(
@@ -172,4 +171,4 @@ def empirical_gwfe(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    return _log_gap_sum(_gap_sums(s.values, order.gamma, False, False)[None]).item() / order.delta
+    return _log_gap_sum(float(_gap_sums(s.values, order.gamma, False, False))) / order.delta

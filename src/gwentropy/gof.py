@@ -14,7 +14,8 @@ values depend only on (order, n) and are simulated at unit rate.
 One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from SeededSampler(seed, (tag << 56) |
-(n << 32) | r).  _replicate takes the replications in blocks of about
+(n << 32) | r), so every replication is a pure function of (seed, tag, n, r).
+_replicate takes the replications in blocks of about
 empirical._BLOCK_VALUES = 32 768 values (rows x n), twice the kernel's
 chunk, which bounds its memory at any n and B, and draws each row with the
 bits of its stream sampled on its own, from an array Philox
@@ -24,11 +25,22 @@ block of uniforms through _quantile, and Gamma (and Affine over it) runs its
 one set of rejection rounds, distributions._gamma_rounds, on every row of
 the block at once, with ziggurat normals read from the same words and the
 rounds' per-value arrays in one workspace of four arrays of the block's
-values.  A block is
-sorted and reduced row-wise by the kernel shared with statistic and the
-empirical estimators, empirical._gap_sums, and _t_parts, statistic's own
-tail, finishes the whole block's T with math.log and math.exp mapped over
-its rows.
+values.  A block is sorted and reduced row-wise by the kernel shared with
+statistic and the empirical estimators, empirical._gap_sums.
+
+The test uses only the order of T: a critical value is the
+ceil(level * B)-th smallest T, a power the share of T below a critical
+value, and T = exp(-distance) falls as the distance |estimate - plug_in|
+grows.  So _replicate keeps one float per replication, that distance with
+np.log in place of math.log, and a scale that bounds its terms; np.log
+rounds apart from math.log by a few ulp of that scale at most.  A critical
+value partitions the distances, and a power counts those beyond -log(cv).
+Only the replications within _BAND times the scale of that cut are redrawn,
+each on its own stream, and finished by statistic's scalar formula _t_parts
+(math.log and math.exp on Python floats), whose exact T decides their side;
+a cut past _NORMAL_T_DISTANCE, where T nears the subnormals, redraws every
+row beyond it.  Every critical value and power count is thus the one that
+sorting every exact T gives.
 The engine runs in the calling process; the workers argument of
 critical_values and power_study is accepted and ignored.
 """
@@ -41,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _mapped
 from .distributions import Distribution, Exponential
 from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
 from .entropy import EntropyOrder
@@ -124,20 +135,17 @@ class PowerResult:
 # ---------- statistic ----------
 
 
-def _t_parts(
-    totals: np.ndarray, means: np.ndarray, gamma: float, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Estimates, plug-ins -2 * log(gamma / mean) / delta and T of samples
-    from their gap sums and means, one array element per sample.
+def _t_parts(total: float, mean: float, gamma: float, delta: float) -> tuple[float, float, float]:
+    """Estimate, plug-in -2 * log(gamma / mean) / delta and T of one sample
+    from its gap sum and mean.
 
-    The logs and exponentials are math.log and math.exp mapped over the
-    arrays: np.log / np.exp differ from them in the last bit on some inputs,
-    and the simulated tables keep these bits.  The arithmetic in between is
-    numpy's, the same IEEE operations in the same order as on Python floats.
+    The one place T is formed exactly: math.log and math.exp on Python
+    floats, whose bits the simulated tables keep (np.log and np.exp round
+    apart from them on some inputs).
     """
-    estimate = _log_gap_sum(totals) / delta
-    plug_in = -2.0 * (math.log(gamma) - _mapped(math.log, means)) / delta
-    return estimate, plug_in, _mapped(math.exp, -abs(estimate - plug_in))
+    estimate = _log_gap_sum(total) / delta
+    plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
+    return estimate, plug_in, math.exp(-abs(estimate - plug_in))
 
 
 def statistic(
@@ -150,11 +158,11 @@ def statistic(
         order = DEFAULT_ORDER
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
-    mean = s.values.mean()
-    total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
-    estimate, plug_in, t = (v.item() for v in _t_parts(total[None], mean[None], order.gamma, order.delta))
+    mean = float(s.values.mean())
+    total = float(_gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP))
+    estimate, plug_in, t = _t_parts(total, mean, order.gamma, order.delta)
     return TestStatistic(
-        lambda_hat=1.0 / float(mean),
+        lambda_hat=1.0 / mean,
         estimate=estimate,
         plug_in=plug_in,
         distance=abs(estimate - plug_in),
@@ -164,21 +172,114 @@ def statistic(
 
 # ---------- replication engine ----------
 
+# Half-width of the band around a cut, per unit of the distances' scale.
+# With np.log within a few ulp of math.log, a numpy distance lies within
+# about 7 * 2**-52 = 1.6e-15 of the scale of the exact one (at most 1.6e-16
+# seen).  The band holds three margins of 2**-40 / 3 = 3.0e-13: the row's
+# rounding, the cut's, and a gap of over a thousand ulp between the exact T
+# of the rows past the band and those at the cut
+_BAND = 2.0**-40
+# beyond this distance exp(-distance) nears the subnormals, where values a
+# band apart may round to the same T: a cut there redraws every row beyond it
+_NORMAL_T_DISTANCE = 700.0
 
-def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> np.ndarray:
-    """T for replications [start, stop) of size-n samples drawn from d."""
-    gamma, delta = cfg.order.gamma, cfg.order.delta
-    include_head = cfg.variant is EstimatorVariant.FULL_STEP
-    prefix = np.uint64((tag << 56) | (n << 32))
+
+def _streams(tag: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Stream numbers of replications `rows` at size n on tag."""
+    return np.uint64((tag << 56) | (n << 32)) | rows.astype(np.uint64)
+
+
+def _draw(d: Distribution, cfg: TestConfig, n: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gap sums and means of the size-n samples drawn from d on `streams`, one per row."""
+    x = d._sample_streams(cfg.seed, streams, n)
+    x.sort(axis=1)
+    return _gap_sums(x, cfg.order.gamma, True, cfg.variant is EstimatorVariant.FULL_STEP), x.mean(axis=1)
+
+
+def _distances(totals: np.ndarray, means: np.ndarray, log_gamma: float, delta: float, out: np.ndarray) -> float:
+    """|estimate - plug_in| of each row into out, with np.log in place of
+    math.log, overwriting totals and means; returns the largest finite
+    |estimate| + |plug_in|.  A gap sum that is not positive raises
+    DegenerateSampleError, as statistic does on that row."""
+    _log_gap_sum(float(totals.min()))
+    estimate = np.log(totals, out=totals)
+    estimate /= delta
+    plug_in = np.log(means, out=means)
+    np.subtract(log_gamma, plug_in, out=plug_in)
+    plug_in *= -2.0
+    plug_in /= delta
+    np.subtract(estimate, plug_in, out=out)
+    np.abs(out, out=out)
+    size = np.abs(estimate, out=estimate)
+    size += np.abs(plug_in, out=plug_in)
+    return float(size.max(initial=0.0, where=np.isfinite(size)))
+
+
+def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> tuple[np.ndarray, float]:
+    """Distances |estimate - plug_in| of replications [start, stop) of
+    size-n samples drawn from d, with np.log in place of math.log, and the
+    scale that bounds their rounding: 1 + 4 |log gamma| / delta plus the
+    largest finite |estimate| + |plug_in|.
+    """
+    delta = cfg.order.delta
+    log_gamma = float(np.log(cfg.order.gamma))
     rows = max(1, _BLOCK_VALUES // n)
     out = np.empty(stop - start)
+    top = 0.0
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        x = d._sample_streams(cfg.seed, prefix | np.arange(lo, hi, dtype=np.uint64), n)
-        x.sort(axis=1)
-        out[lo - start : hi - start] = _t_parts(_gap_sums(x, gamma, True, include_head), x.mean(axis=1), gamma, delta)[2]
-        del x  # before the next block's draw, not after it
+        block = _draw(d, cfg, n, _streams(tag, n, np.arange(lo, hi)))
+        top = max(top, _distances(*block, log_gamma, delta, out[lo - start : hi - start]))
+        del block  # before the next block's draw, not after it
+    return out, 1.0 + 4.0 * abs(log_gamma) / delta + top
+
+
+def _exact_t(d: Distribution, tag: int, cfg: TestConfig, n: int, rows: np.ndarray) -> list[float]:
+    """T of replications `rows`, each redrawn on its own stream and finished
+    by the scalar formula: the T that statistic gives on that sample."""
+    gamma, delta = cfg.order.gamma, cfg.order.delta
+    per = max(1, _BLOCK_VALUES // n)
+    out = []
+    for lo in range(0, rows.size, per):
+        totals, means = _draw(d, cfg, n, _streams(tag, n, rows[lo : lo + per]))
+        out += [_t_parts(t, m, gamma, delta)[2] for t, m in zip(totals.tolist(), means.tolist())]
     return out
+
+
+def _band(dist: np.ndarray, scale: float, cut: float) -> tuple[int, np.ndarray]:
+    """How many replications lie surely beyond the cut distance (exact T
+    below exp(-cut)), and the indices of those near it, whose exact T decides."""
+    width = _BAND * (scale + abs(cut))
+    hi = cut + width if cut + width <= _NORMAL_T_DISTANCE else math.inf
+    near = (dist >= min(cut, _NORMAL_T_DISTANCE) - width) & (dist <= hi)
+    return int(np.count_nonzero(dist > hi)), np.flatnonzero(near)
+
+
+def _near_t(d: Distribution, tag: int, cfg: TestConfig, n: int, bands) -> list[list[float]]:
+    """Exact T of each band's near replications, redrawn once for all bands."""
+    rows = np.unique(np.concatenate([near for _, near in bands]))
+    t = dict(zip(rows.tolist(), _exact_t(d, tag, cfg, n, rows)))
+    return [[t[r] for r in near.tolist()] for _, near in bands]
+
+
+def _ranked(d: Distribution, tag: int, cfg: TestConfig, n: int, ranks) -> list[float]:
+    """The k-th smallest T of cfg.replications size-n samples from d, for each k in ranks."""
+    dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
+    # the k-th smallest T is exp of the k-th smallest -distance (NaN last in both)
+    log_t = np.partition(-dist, [k - 1 for k in ranks])
+    bands = [_band(dist, scale, -log_t[k - 1]) for k in ranks]
+    return [sorted(t)[k - 1 - beyond] for k, (beyond, _), t in zip(ranks, bands, _near_t(d, tag, cfg, n, bands))]
+
+
+def _counts_below(d: Distribution, tag: int, cfg: TestConfig, n: int, cvs) -> list[int]:
+    """How many of cfg.replications size-n samples from d have T < cv, for each cv in cvs."""
+    dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
+    # T lies in [0, 1]: a cv above 1 cuts where 2 does, and none lies below a
+    # cv that is not positive (or NaN)
+    nowhere = (0, np.empty(0, dtype=np.intp))
+    bands = [_band(dist, scale, -float(np.log(min(cv, 2.0)))) if cv > 0.0 else nowhere for cv in cvs]
+    near_t = _near_t(d, tag, cfg, n, bands)
+    return [beyond + sum(t < cv for t in ts) for cv, (beyond, _), ts in zip(cvs, bands, near_t)]
 
 
 def _sample_sizes(n_values) -> list[int]:
@@ -191,12 +292,9 @@ def _sample_sizes(n_values) -> list[int]:
     return ns
 
 
-def _lower_quantile(sorted_t: np.ndarray, level: float) -> float:
-    """The ceil(level * B)-th smallest simulated value."""
-    b = sorted_t.size
-    k = math.ceil(level * b - 1e-9)
-    k = min(max(k, 1), b)
-    return float(sorted_t[k - 1])
+def _rank(level: float, b: int) -> int:
+    """ceil(level * b), clamped to 1..b: the rank of a level's critical value."""
+    return min(max(math.ceil(level * b - 1e-9), 1), b)
 
 
 # ---------- critical-value table ----------
@@ -216,6 +314,28 @@ class CriticalTable:
     replications: int
     seed: int
     variant: EstimatorVariant
+
+    def __post_init__(self):
+        if any(not 0.0 < lv < 1.0 for lv in self.levels):
+            raise GwentropyError("critical-table levels must lie strictly inside (0, 1)")
+        if self.replications < 1:
+            raise GwentropyError("critical-table replications must be positive")
+        for n, values in self.rows.items():
+            if n < 2:
+                raise GwentropyError(f"critical-table row n={n}: sample sizes must be at least 2")
+            if len(values) != len(self.levels):
+                raise GwentropyError(f"critical-table row n={n}: row length differs from levels")
+            if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
+                raise GwentropyError(f"critical-table row n={n}: values must lie in [0, 1]")
+
+    def _check_config(self, cfg: TestConfig) -> None:
+        """Raise GwentropyError unless the table was simulated at cfg's order
+        and variant; its replications and seed may differ."""
+        if self.order != cfg.order or self.variant is not cfg.variant:
+            raise GwentropyError(
+                f"critical table simulated at order ({self.order.alpha:g}, {self.order.beta:g}), {self.variant.value};"
+                f" the test runs at ({cfg.order.alpha:g}, {cfg.order.beta:g}), {cfg.variant.value}"
+            )
 
     def value(self, n: int, level: float) -> float:
         if n not in self.rows:
@@ -273,22 +393,17 @@ class CriticalTable:
         if not isinstance(doc, dict) or doc.get("schema") != 1 or doc.get("kind") != "critical-table":
             raise GwentropyError("not a schema-1 critical-table document")
         try:
-            order = EntropyOrder(doc["order"]["alpha"], doc["order"]["beta"])
-            levels = tuple(float(v) for v in doc["levels"])
-            rows = {int(row["n"]): tuple(float(v) for v in row["values"]) for row in doc["rows"]}
-            table = cls(
-                order=order,
-                levels=levels,
-                rows=rows,
+            fields = dict(
+                order=EntropyOrder(doc["order"]["alpha"], doc["order"]["beta"]),
+                levels=tuple(float(v) for v in doc["levels"]),
+                rows={int(row["n"]): tuple(float(v) for v in row["values"]) for row in doc["rows"]},
                 replications=int(doc["replications"]),
                 seed=int(doc["seed"]),
                 variant=EstimatorVariant(doc["variant"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GwentropyError(f"malformed critical-table document: {exc!r}") from exc
-        if any(len(values) != len(levels) for values in rows.values()):
-            raise GwentropyError("malformed critical-table document: row length differs from levels")
-        return table
+        return cls(**fields)
 
     def to_csv(self) -> str:
         lines = ["n,level,value"]
@@ -316,10 +431,9 @@ def critical_values(
     if not levels or any(not 0.0 < v < 1.0 for v in levels):
         raise GwentropyError("levels must lie strictly inside (0, 1)")
     rows: dict[int, tuple[float, ...]] = {}
+    ranks = [_rank(lv, cfg.replications) for lv in levels]
     for n in _sample_sizes(n_values):
-        t = _replicate(Exponential(1.0), _TAG_NULL, cfg, n, 0, cfg.replications)
-        t.sort()
-        rows[n] = tuple(_lower_quantile(t, lv) for lv in levels)
+        rows[n] = tuple(_ranked(Exponential(1.0), _TAG_NULL, cfg, n, ranks))
     return CriticalTable(
         order=cfg.order,
         levels=levels,
@@ -346,6 +460,8 @@ def run_test(
     simulate_missing is disabled, in which case the lookup error surfaces.
     """
     cfg = cfg or TestConfig()
+    if table is not None:
+        table._check_config(cfg)
     stat = statistic(s, cfg.order, cfg.variant)
     n = s.n
     simulated = False
@@ -392,18 +508,12 @@ def power_study(
     ns = _sample_sizes(n_values)
     if table is None:
         table = critical_values(ns, levels, cfg)
+    table._check_config(cfg)
     results = []
     for n in ns:
-        t = _replicate(alt, _TAG_ALT, cfg, n, 0, cfg.replications)
-        for level in levels:
-            cv = table.value(n, level)
+        cvs = [table.value(n, level) for level in levels]
+        for level, cv, count in zip(levels, cvs, _counts_below(alt, _TAG_ALT, cfg, n, cvs)):
             results.append(
-                PowerResult(
-                    n=n,
-                    level=level,
-                    critical_value=cv,
-                    replications=cfg.replications,
-                    rejections=int((t < cv).sum()),
-                )
+                PowerResult(n=n, level=level, critical_value=cv, replications=cfg.replications, rejections=count)
             )
     return results

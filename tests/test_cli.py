@@ -288,6 +288,67 @@ def test_domain_error_malformed_table(text, capsys, tmp_path):
     assert json.loads(err)["error"] == "domain"
 
 
+_TABLE_DOC = {
+    "schema": 1, "kind": "critical-table", "order": {"alpha": 0.26, "beta": 1.25}, "levels": [0.05],
+    "replications": 10, "seed": 0, "variant": "gaps-only", "rows": [{"n": 5, "values": [0.3]}],
+}
+
+
+def _table_command(command, tp, tmp_path):
+    if command == "gof-test":
+        return ["gof-test", "--data", write_values(tmp_path, "x.txt", [0.3, 1.2, 0.7, 2.5, 0.1]), "--table", str(tp)]
+    return ["power", "--alt", "weibull(2)", "--n", "5", "--levels", "0.05", "--replications", "50", "--table", str(tp)]
+
+
+@pytest.mark.parametrize("command", ["gof-test", "power"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"rows": [{"n": 5, "values": [math.nan]}]},
+        {"rows": [{"n": 5, "values": [7.5]}]},
+        {"rows": [{"n": 5, "values": [-0.1]}]},
+        {"rows": [{"n": 1, "values": [0.3]}]},
+        {"replications": -3},
+        {"levels": [1.0]},
+    ],
+    ids=["nan-value", "value-above-1", "negative-value", "n-1", "negative-replications", "level-1"],
+)
+def test_domain_error_impossible_table(command, change, capsys, tmp_path):
+    # each loaded without error, and power printed a NaN critical value
+    tp = tmp_path / "table.json"
+    tp.write_text(json.dumps({**_TABLE_DOC, **change}))
+    code, out, err = run_cli(capsys, *_table_command(command, tp, tmp_path))
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "domain"
+
+
+@pytest.mark.parametrize("command", ["gof-test", "power"])
+@pytest.mark.parametrize(
+    "flags", [["--alpha", "1.6", "--beta", "2.5"], ["--variant", "full-step"]], ids=["order", "variant"]
+)
+def test_domain_error_table_from_another_order_or_variant(command, flags, capsys, tmp_path):
+    # a table simulated at the default order, gaps-only, gave gof-test at
+    # (1.6, 2.5) full-step a critical value of 0.2531 where that order's is 0.4479
+    tp = tmp_path / "table.json"
+    tp.write_text(json.dumps(_TABLE_DOC))
+    code, out, err = run_cli(capsys, *_table_command(command, tp, tmp_path), *flags)
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "domain" and "critical table simulated at order (0.26, 1.25), gaps-only" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["gof-test", "power"])
+def test_table_from_another_seed_and_replications_is_used(command, capsys, tmp_path):
+    tp = tmp_path / "table.json"
+    tp.write_text(json.dumps(_TABLE_DOC))
+    code, out, err = run_cli(capsys, *_table_command(command, tp, tmp_path), "--seed", "9", "--replications", "40")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["results"][0] if command == "power" else doc)["critical_value"] == 0.3
+
+
 def test_domain_error_divergence(capsys):
     code, out, err = run_cli(capsys, "entropy", "--dist", "pareto(3,1)")
     assert code == 1 and out == ""

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwentropy import (
@@ -185,10 +186,11 @@ def test_quantile_index_matches_order_statistic():
     # the critical value must be the ceil(level * B)-th smallest simulated T
     cfg = TestConfig(replications=200, seed=3)
     t = critical_values([6], levels=(0.05,), cfg=cfg)
-    from gwentropy.gof import _replicate
+    from gwentropy.gof import _exact_t
 
-    # the null is the Exponential(1) alternative on tag 1
-    draws = np.sort(_replicate(Exponential(1.0), 1, cfg, 6, 0, 200))
+    # the null is the Exponential(1) alternative on tag 1; every replication's
+    # T by the scalar formula
+    draws = np.sort(_exact_t(Exponential(1.0), 1, cfg, 6, np.arange(200)))
     assert t.value(6, 0.05) == draws[math.ceil(0.05 * 200) - 1]
 
 
@@ -232,9 +234,12 @@ def test_replication_block_survives_zero_draw(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(distributions, "_philox_uniforms", zero_first)
-    t = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
+    dist, scale = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
     assert len(blocks) == 1  # the engine drew its uniforms through the patched block
-    assert np.all((t > 0.0) & (t <= 1.0))
+    assert np.all(np.isfinite(dist)) and math.isfinite(scale)
+    t = gof._exact_t(Exponential(1.0), 1, TestConfig(), 8, np.arange(3))
+    assert len(blocks) == 2  # and so did the redraw
+    assert all(0.0 < v <= 1.0 for v in t)
 
 
 @pytest.mark.parametrize("constant_rows", [[0, 1, 2], [1]])
@@ -253,25 +258,106 @@ def test_replication_block_with_zero_gap_sum_raises(monkeypatch, constant_rows):
         gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
 
 
-def _scalar_t_parts(total, mean, gamma, delta):
-    # the per-sample formula on Python floats: the reference for the block tail
-    estimate = math.log(total) / delta
-    plug_in = -2.0 * (math.log(gamma) - math.log(mean)) / delta
-    return estimate, plug_in, math.exp(-abs(estimate - plug_in))
-
-
 @pytest.mark.parametrize("n", [4, 20, 100])
-def test_block_tail_matches_scalar_formula(n):
-    # a whole engine block's estimates, plug-ins and T, bit for bit
-    from gwentropy.empirical import _gap_sums
-    from gwentropy.gof import _t_parts
+@pytest.mark.parametrize("order", [ORD, EntropyOrder(1.23, 1.25)], ids=["default", "delta0.02"])
+@pytest.mark.parametrize(
+    "d", [Exponential(1.0), Pareto(0.3, 1.0), Gamma(0.3), Uniform(1.0, 1.0 + 1e-6)], ids=lambda d: type(d).__name__
+)
+def test_engine_distance_is_far_inside_the_band(d, order, n):
+    # the engine's np.log distance against the exact one (math.log on Python
+    # floats) on every replication of a few blocks: at most 2**-50 of the
+    # row's own scale, 1/1024 of the band (worst seen 1.6e-16); the
+    # replications near a cut are redrawn only if this gap stays inside it
+    from gwentropy.gof import _BAND, _draw, _replicate, _streams, _t_parts
 
-    streams = np.uint64((1 << 56) | (n << 32)) | np.arange(16384 // n, dtype=np.uint64)
-    x = Exponential(1.0)._sample_streams(0, streams, n)
-    x.sort(axis=1)
-    totals, means = _gap_sums(x, ORD.gamma, True, False), x.mean(axis=1)
-    expected = [_scalar_t_parts(t, m, ORD.gamma, ORD.delta) for t, m in zip(totals.tolist(), means.tolist())]
-    assert [part.tolist() for part in _t_parts(totals, means, ORD.gamma, ORD.delta)] == [list(col) for col in zip(*expected)]
+    cfg = TestConfig(order=order, seed=11)
+    b = 3 * (_BLOCK_VALUES // n) // 2
+    dist, scale = _replicate(d, 2, cfg, n, 0, b)
+    totals, means = _draw(d, cfg, n, _streams(2, n, np.arange(b)))
+    parts = np.array([_t_parts(t, m, order.gamma, order.delta)[:2] for t, m in zip(totals.tolist(), means.tolist())])
+    row_scale = 1.0 + np.abs(parts).sum(axis=1) + 4.0 * abs(math.log(order.gamma)) / order.delta
+    assert row_scale.max() <= scale * (1.0 + 2.0**-50)  # the engine's, from its np.log terms
+    assert np.all(np.abs(dist - np.abs(parts[:, 0] - parts[:, 1])) <= 2.0**-50 * row_scale)
+    assert 2.0**-50 == _BAND / 1024
+
+
+class _Tied(Distribution):
+    """Its base drawn on streams with the two lowest bits cleared: replications tie in fours."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def _sample_streams(self, seed, streams, n):
+        return self.base._sample_streams(seed, streams & ~np.uint64(3), n)
+
+
+def _jittered(jitter: int):
+    """gof._distances moved off by up to the error the band allows for, from
+    a generator seeded with jitter (0: left as it is)."""
+    from gwentropy import gof
+
+    rng, exact = np.random.default_rng(jitter), gof._distances
+
+    def moved(totals, means, log_gamma, delta, out):
+        top = exact(totals, means, log_gamma, delta, out)
+        out += rng.uniform(-1.0, 1.0, out.size) * (gof._BAND / 3 * (1.0 + top))
+        np.maximum(out, 0.0, out=out)
+        return top
+
+    return mock.patch.object(gof, "_distances", moved if jitter else exact)
+
+
+@settings(max_examples=40)
+@given(
+    delta=st.one_of(st.just(0.02), st.floats(0.02, 0.98)),
+    beta=st.floats(1.0, 2.0),
+    variant=st.sampled_from(list(EstimatorVariant)),
+    b=st.integers(1, 300),
+    n=st.integers(2, 40),
+    # heavy tails, and near-constant rows, whose distances reach past 700 at
+    # delta = 0.02, where T nears the subnormals and reaches 0
+    alt=st.sampled_from(
+        [Exponential(1.0), Pareto(0.3, 1.0), Pareto(2.0, 1.0), Gamma(0.3), Weibull(0.4), Uniform(1.0, 1.0 + 1e-6)]
+    ),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    picks=st.lists(st.integers(0, 299), min_size=1, max_size=6),
+    jitter=st.integers(0, 3),
+)
+def test_cut_matches_sorting_every_exact_t(delta, beta, variant, b, n, alt, tied, seed, picks, jitter):
+    # ranks and counts from the distances and the band against the route that
+    # finishes every replication by the scalar formula and sorts its T; with
+    # jitter, every engine distance is moved by up to the band's error margin
+    from gwentropy.gof import _counts_below, _exact_t, _ranked
+
+    cfg = TestConfig(order=EntropyOrder(beta - delta, beta), replications=b, seed=seed, variant=variant)
+    d = _Tied(alt) if tied else alt
+    t = np.array(_exact_t(d, 2, cfg, n, np.arange(b)))
+    at = [float(t[i % b]) for i in picks]
+    cvs = [float(v) for x in at for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))]
+    cvs += [0.0, -0.5, 1.0, 1.5, math.inf, math.nan]
+    with _jittered(jitter):
+        assert _ranked(d, 2, cfg, n, range(1, b + 1)) == sorted(t.tolist())
+        assert _counts_below(d, 2, cfg, n, cvs) == [int((t < cv).sum()) for cv in cvs]
+
+
+def test_band_redraws_every_row_past_the_normal_t():
+    # beyond distance 700, exp(-distance) nears the subnormals, where rows a
+    # band apart can round to the same T: a cut there leaves no row surely
+    # beyond it and redraws every row from just below 700 up
+    from gwentropy.gof import _BAND, _NORMAL_T_DISTANCE, _band
+
+    dist = np.array([0.5, 690.0, 699.9, 700.0, 720.0, 745.5, 800.0, math.inf])
+    assert _NORMAL_T_DISTANCE == 700.0
+    beyond, near = _band(dist, 1.0, 720.0)
+    assert beyond == 0 and near.tolist() == [3, 4, 5, 6, 7]
+    # below it, the band is _BAND of the scale and the cut either side
+    beyond, near = _band(dist, 1.0, 690.0)
+    assert beyond == 6 and near.tolist() == [1]
+    beyond, near = _band(dist + [0, _BAND * 691.0, 0, 0, 0, 0, 0, 0], 1.0, 690.0)
+    assert beyond == 6 and near.tolist() == [1]
+    beyond, near = _band(dist + [0, _BAND * 692.0, 0, 0, 0, 0, 0, 0], 1.0, 690.0)
+    assert beyond == 7 and near.tolist() == []
 
 
 ENGINE_CASES = [
@@ -297,16 +383,19 @@ def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, s
     # replications a block) and three at n = _BLOCK_VALUES // 5 (5 a block),
     # the last one short either way; Gamma runs each block's rows, 10 or 5 or
     # fewer, as one set of rejection rounds
-    from gwentropy.gof import _replicate
+    # the engine's distances are the statistic's to within the band, and a
+    # redrawn replication's exact T is the statistic's, bit for bit
+    from gwentropy.gof import _BAND, _exact_t, _replicate
 
     cfg = TestConfig(seed=2**64 - 59, variant=variant)
-    t = _replicate(d, 2, cfg, n, start, stop)
+    dist, scale = _replicate(d, 2, cfg, n, start, stop)
     expected = [
         statistic(Sample(d.sample_values(n, SeededSampler(cfg.seed, (2 << 56) | (n << 32) | r).generator())),
-                  cfg.order, cfg.variant).t_value
+                  cfg.order, cfg.variant)
         for r in range(start, stop)
     ]
-    assert t.tolist() == expected
+    assert np.all(np.abs(dist - [st.distance for st in expected]) <= _BAND / 3 * scale)
+    assert _exact_t(d, 2, cfg, n, np.arange(start, stop)) == [st.t_value for st in expected]
 
 
 @pytest.mark.parametrize(
@@ -423,6 +512,19 @@ def test_run_test_uses_supplied_table():
     assert not out.table_simulated
     assert out.critical_value == table.value(10, cfg.level)
     assert out.reject == (out.statistic.t_value < out.critical_value)
+
+
+def test_table_from_another_order_or_variant_raises():
+    # replications and seed may differ; order and variant may not
+    cfg = TestConfig(replications=200, seed=9)
+    table = critical_values([10], cfg=cfg)
+    s = Sample(Exponential(1.0).sample_values(10, SeededSampler(12, 0).generator()))
+    assert not run_test(s, cfg=TestConfig(replications=50, seed=1), table=table).table_simulated
+    for other in (TestConfig(order=EntropyOrder(1.6, 2.5)), TestConfig(variant=EstimatorVariant.FULL_STEP)):
+        with pytest.raises(GwentropyError, match="critical table simulated at order"):
+            run_test(s, cfg=other, table=table)
+        with pytest.raises(GwentropyError, match="critical table simulated at order"):
+            power_study(Weibull(2.0), [10], cfg=other, table=table)
 
 
 def test_run_test_missing_entry_strict():
