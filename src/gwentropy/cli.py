@@ -99,13 +99,20 @@ def _n_values_arg(text: str) -> list[int]:
     return sorted(values)
 
 
-def _levels_arg(text: str) -> tuple[float, ...]:
+def _level_arg(text: str) -> float:
     try:
-        levels = tuple(float(p) for p in text.split(",") if p.strip())
+        level = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse levels {text!r}") from exc
-    if not levels or any(not 0.0 < v < 1.0 for v in levels):
+        raise argparse.ArgumentTypeError(f"cannot parse level {text!r}") from exc
+    if not 0.0 < level < 1.0:  # nan fails too
         raise argparse.ArgumentTypeError("levels must lie strictly inside (0, 1)")
+    return level
+
+
+def _levels_arg(text: str) -> tuple[float, ...]:
+    levels = tuple(_level_arg(p) for p in text.split(",") if p.strip())
+    if not levels:
+        raise argparse.ArgumentTypeError("no levels given")
     return levels
 
 
@@ -415,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gof-test", help="test a sample for exponentiality")
     p.add_argument("--data", required=True, help="file of values, or '-' for stdin")
     p.add_argument("--column", help="CSV column name")
-    p.add_argument("--level", type=float, default=TestConfig.level, help="significance level")
+    p.add_argument("--level", type=_level_arg, default=TestConfig.level, help="significance level")
     p.add_argument("--table", help="critical-table JSON produced by critical-table")
     p.add_argument("--no-simulate", action="store_true", help="fail instead of simulating a missing critical value")
     _add_order_args(p)

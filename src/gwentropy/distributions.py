@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import _ziggurat
 from ._quad import failure_integral, survival_integral
@@ -49,6 +48,14 @@ __all__ = [
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise GwentropyError(message)
+
+
+def _special():
+    """scipy.special, imported at first use: only Gamma and Rayleigh's
+    unweighted closed form need it, and it more than doubles start-up."""
+    from scipy import special
+
+    return special
 
 
 # ---------- base class ----------
@@ -382,7 +389,7 @@ class Rayleigh(Distribution):
         if weighted:
             return 1.0 / (2.0 * lg)
         # erfcx keeps the normalization by sf(t)**g exact for large t
-        return math.sqrt(math.pi / (4.0 * lg)) * special.erfcx(t * math.sqrt(lg))
+        return math.sqrt(math.pi / (4.0 * lg)) * _special().erfcx(t * math.sqrt(lg))
 
 
 class Weibull(Distribution):
@@ -441,7 +448,7 @@ class Gamma(Distribution):
         self._at_zero = math.inf if shape < 1.0 else 1.0 if shape == 1.0 else 0.0
 
     def _log_pdf(self, xs):
-        return (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
+        return (self.shape - 1.0) * np.log(xs) - xs - _special().gammaln(self.shape)
 
     def _outside(self, x):
         """pdf and hazard at x <= 0: the right limit at 0, and 0 below it."""
@@ -454,17 +461,17 @@ class Gamma(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return special.gammainc(self.shape, np.where(x > 0.0, x, 0.0))
+        return _special().gammainc(self.shape, np.where(x > 0.0, x, 0.0))
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        return special.gammaincc(self.shape, np.where(x > 0.0, x, 0.0))
+        return _special().gammaincc(self.shape, np.where(x > 0.0, x, 0.0))
 
     def _quantile(self, u):
-        return special.gammaincinv(self.shape, u)
+        return _special().gammaincinv(self.shape, u)
 
     def _isf(self, v):
-        return special.gammainccinv(self.shape, v)
+        return _special().gammainccinv(self.shape, v)
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
@@ -489,7 +496,7 @@ class Gamma(Distribution):
         x[~deep] = self._isf(np.exp(log_v[~deep]))
         # Newton on log sf from its leading term -x + (shape - 1) log x - log Gamma(shape)
         lv = log_v[deep]
-        y = -lv + (self.shape - 1.0) * np.log(-lv) - special.gammaln(self.shape)
+        y = -lv + (self.shape - 1.0) * np.log(-lv) - _special().gammaln(self.shape)
         for _ in range(6):
             y = y + (self._log_sf(y) - lv) / self._hazard(y)
         x[deep] = y
@@ -527,7 +534,7 @@ def _log_upper_gamma(a, x):
         h = h * d * c
         if np.all(np.abs(d * c - 1.0) < 1e-16):
             break
-    return a * np.log(x) - x - special.gammaln(a) + np.log(h)
+    return a * np.log(x) - x - _special().gammaln(a) + np.log(h)
 
 
 # ---------- transformation wrappers ----------
@@ -790,6 +797,7 @@ def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> n
         c0 ^= np.uint64(k0)
         np.multiply(c2, m1, out=c1)
         c2, hi = hi, c2
+    del k1  # one word per row, dead from here: not beside the words, the engine's traced peak
     words = np.empty((rows, blocks, 4), dtype=np.uint64)
     words[..., 0], words[..., 1], words[..., 2], words[..., 3] = c0, c1, c2, c3
     return words.reshape(rows, 4 * blocks)

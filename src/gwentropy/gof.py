@@ -31,16 +31,17 @@ statistic and the empirical estimators, empirical._gap_sums.
 The test uses only the order of T: a critical value is the
 ceil(level * B)-th smallest T, a power the share of T below a critical
 value, and T = exp(-distance) falls as the distance |estimate - plug_in|
-grows.  So _replicate keeps one float per replication, that distance with
-np.log in place of math.log, and a scale that bounds its terms; np.log
-rounds apart from math.log by a few ulp of that scale at most.  A critical
-value partitions the distances, and a power counts those beyond -log(cv).
-Only the replications within _BAND times the scale of that cut are redrawn,
-each on its own stream, and finished by statistic's scalar formula _t_parts
-(math.log and math.exp on Python floats), whose exact T decides their side;
-a cut past _NORMAL_T_DISTANCE, where T nears the subnormals, redraws every
-row beyond it.  Every critical value and power count is thus the one that
-sorting every exact T gives.
+grows.  So _replicate keeps each replication's gap sum and mean, and from
+them one distance with np.log in place of math.log and a scale that bounds
+its terms; np.log rounds apart from math.log by a few ulp of that scale at
+most.  A critical value partitions the distances, and a power counts those
+beyond -log(cv).  Only the replications within _BAND times the scale of
+that cut are finished by statistic's scalar formula _t_parts (math.log and
+math.exp on Python floats) from their kept sum and mean, whose exact T
+decides their side; a cut past _NORMAL_T_DISTANCE, where T nears the
+subnormals, finishes every row beyond it.  Every critical value and power
+count is thus the one that sorting every exact T gives, from one pass that
+draws each replication once.
 The engine runs in the calling process; the workers argument of
 critical_values and power_study is accepted and ignored.
 """
@@ -180,7 +181,7 @@ def statistic(
 # of the rows past the band and those at the cut
 _BAND = 2.0**-40
 # beyond this distance exp(-distance) nears the subnormals, where values a
-# band apart may round to the same T: a cut there redraws every row beyond it
+# band apart may round to the same T: a cut there finishes every row beyond it
 _NORMAL_T_DISTANCE = 700.0
 
 
@@ -189,61 +190,45 @@ def _streams(tag: int, n: int, rows: np.ndarray) -> np.ndarray:
     return np.uint64((tag << 56) | (n << 32)) | rows.astype(np.uint64)
 
 
-def _draw(d: Distribution, cfg: TestConfig, n: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gap sums and means of the size-n samples drawn from d on `streams`, one per row."""
-    x = d._sample_streams(cfg.seed, streams, n)
-    x.sort(axis=1)
-    return _gap_sums(x, cfg.order.gamma, True, cfg.variant is EstimatorVariant.FULL_STEP), x.mean(axis=1)
-
-
-def _distances(totals: np.ndarray, means: np.ndarray, log_gamma: float, delta: float, out: np.ndarray) -> float:
-    """|estimate - plug_in| of each row into out, with np.log in place of
-    math.log, overwriting totals and means; returns the largest finite
-    |estimate| + |plug_in|.  A gap sum that is not positive raises
-    DegenerateSampleError, as statistic does on that row."""
+def _distances(totals: np.ndarray, means: np.ndarray, order: EntropyOrder) -> tuple[np.ndarray, float]:
+    """|estimate - plug_in| of each row, with np.log in place of math.log,
+    and the scale that bounds their rounding: 1 + 4 |log gamma| / delta plus
+    the largest finite |estimate| + |plug_in|.  totals and means are left as
+    they are; a gap sum that is not positive raises DegenerateSampleError,
+    as statistic does on that row."""
+    log_gamma, delta = float(np.log(order.gamma)), order.delta
     _log_gap_sum(float(totals.min()))
-    estimate = np.log(totals, out=totals)
+    estimate = np.log(totals)
     estimate /= delta
-    plug_in = np.log(means, out=means)
+    plug_in = np.log(means)
     np.subtract(log_gamma, plug_in, out=plug_in)
     plug_in *= -2.0
     plug_in /= delta
-    np.subtract(estimate, plug_in, out=out)
-    np.abs(out, out=out)
+    dist = np.subtract(estimate, plug_in)
+    np.abs(dist, out=dist)
     size = np.abs(estimate, out=estimate)
     size += np.abs(plug_in, out=plug_in)
-    return float(size.max(initial=0.0, where=np.isfinite(size)))
+    del plug_in  # before the finite mask: at most five arrays of the rows at once
+    return dist, 1.0 + 4.0 * abs(log_gamma) / delta + float(size.max(initial=0.0, where=np.isfinite(size)))
 
 
-def _replicate(d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int) -> tuple[np.ndarray, float]:
-    """Distances |estimate - plug_in| of replications [start, stop) of
-    size-n samples drawn from d, with np.log in place of math.log, and the
-    scale that bounds their rounding: 1 + 4 |log gamma| / delta plus the
-    largest finite |estimate| + |plug_in|.
-    """
-    delta = cfg.order.delta
-    log_gamma = float(np.log(cfg.order.gamma))
+def _replicate(
+    d: Distribution, tag: int, cfg: TestConfig, n: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Gap sums and means of replications [start, stop) of size-n samples
+    drawn from d, each drawn once, and their distances and scale from
+    _distances."""
+    full = cfg.variant is EstimatorVariant.FULL_STEP
     rows = max(1, _BLOCK_VALUES // n)
-    out = np.empty(stop - start)
-    top = 0.0
+    totals, means = np.empty(stop - start), np.empty(stop - start)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        block = _draw(d, cfg, n, _streams(tag, n, np.arange(lo, hi)))
-        top = max(top, _distances(*block, log_gamma, delta, out[lo - start : hi - start]))
-        del block  # before the next block's draw, not after it
-    return out, 1.0 + 4.0 * abs(log_gamma) / delta + top
-
-
-def _exact_t(d: Distribution, tag: int, cfg: TestConfig, n: int, rows: np.ndarray) -> list[float]:
-    """T of replications `rows`, each redrawn on its own stream and finished
-    by the scalar formula: the T that statistic gives on that sample."""
-    gamma, delta = cfg.order.gamma, cfg.order.delta
-    per = max(1, _BLOCK_VALUES // n)
-    out = []
-    for lo in range(0, rows.size, per):
-        totals, means = _draw(d, cfg, n, _streams(tag, n, rows[lo : lo + per]))
-        out += [_t_parts(t, m, gamma, delta)[2] for t, m in zip(totals.tolist(), means.tolist())]
-    return out
+        x = d._sample_streams(cfg.seed, _streams(tag, n, np.arange(lo, hi)), n)
+        x.sort(axis=1)
+        totals[lo - start : hi - start] = _gap_sums(x, cfg.order.gamma, True, full)
+        x.mean(axis=1, out=means[lo - start : hi - start])
+        del x  # before the next block's draw, not after it
+    return (totals, means, *_distances(totals, means, cfg.order))
 
 
 def _band(dist: np.ndarray, scale: float, cut: float) -> tuple[int, np.ndarray]:
@@ -255,31 +240,30 @@ def _band(dist: np.ndarray, scale: float, cut: float) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(dist > hi)), np.flatnonzero(near)
 
 
-def _near_t(d: Distribution, tag: int, cfg: TestConfig, n: int, bands) -> list[list[float]]:
-    """Exact T of each band's near replications, redrawn once for all bands."""
-    rows = np.unique(np.concatenate([near for _, near in bands]))
-    t = dict(zip(rows.tolist(), _exact_t(d, tag, cfg, n, rows)))
-    return [[t[r] for r in near.tolist()] for _, near in bands]
+def _t_rows(totals: np.ndarray, means: np.ndarray, order: EntropyOrder, rows: np.ndarray) -> list[float]:
+    """Exact T of replications `rows` from their kept gap sums and means, by
+    the scalar formula: the T that statistic gives on each sample."""
+    return [_t_parts(t, m, order.gamma, order.delta)[2] for t, m in zip(totals[rows].tolist(), means[rows].tolist())]
 
 
 def _ranked(d: Distribution, tag: int, cfg: TestConfig, n: int, ranks) -> list[float]:
     """The k-th smallest T of cfg.replications size-n samples from d, for each k in ranks."""
-    dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
+    totals, means, dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
     # the k-th smallest T is exp of the k-th smallest -distance (NaN last in both)
-    log_t = np.partition(-dist, [k - 1 for k in ranks])
+    log_t = np.negative(dist)
+    log_t.partition([k - 1 for k in ranks])  # in place: no second copy beside the kept sums
     bands = [_band(dist, scale, -log_t[k - 1]) for k in ranks]
-    return [sorted(t)[k - 1 - beyond] for k, (beyond, _), t in zip(ranks, bands, _near_t(d, tag, cfg, n, bands))]
+    return [sorted(_t_rows(totals, means, cfg.order, near))[k - 1 - beyond] for k, (beyond, near) in zip(ranks, bands)]
 
 
 def _counts_below(d: Distribution, tag: int, cfg: TestConfig, n: int, cvs) -> list[int]:
     """How many of cfg.replications size-n samples from d have T < cv, for each cv in cvs."""
-    dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
+    totals, means, dist, scale = _replicate(d, tag, cfg, n, 0, cfg.replications)
     # T lies in [0, 1]: a cv above 1 cuts where 2 does, and none lies below a
     # cv that is not positive (or NaN)
     nowhere = (0, np.empty(0, dtype=np.intp))
     bands = [_band(dist, scale, -float(np.log(min(cv, 2.0)))) if cv > 0.0 else nowhere for cv in cvs]
-    near_t = _near_t(d, tag, cfg, n, bands)
-    return [beyond + sum(t < cv for t in ts) for cv, (beyond, _), ts in zip(cvs, bands, near_t)]
+    return [beyond + sum(t < cv for t in _t_rows(totals, means, cfg.order, near)) for cv, (beyond, near) in zip(cvs, bands)]
 
 
 def _sample_sizes(n_values) -> list[int]:

@@ -256,6 +256,23 @@ def test_usage_error_nonpositive_count(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gof-test", "--data", "x.txt", "--level", "1.5"],
+        ["gof-test", "--data", "x.txt", "--level", "nan"],
+        ["gof-test", "--data", "x.txt", "--level", "0"],
+        ["critical-table", "--n", "5", "--levels", "1.5"],
+    ],
+)
+def test_usage_error_level_out_of_range(argv, capsys):
+    # --level is checked as --levels is: a usage error, not a domain error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "strictly inside (0, 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "tiny"])
 def test_usage_error_bad_tol(tol, capsys):
     # a tolerance no draw can meet, or every draw meets, is a usage error
@@ -444,15 +461,19 @@ def test_console_script_entry_point():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # quadrature imports scipy.integrate only for the quad fallback, so the
-    # CLI starts without it
+    # quadrature imports scipy.integrate only for the quad fallback, and Gamma
+    # and Rayleigh's unweighted closed form import scipy.special at first use,
+    # so the package starts, and simulates a table, with no scipy module loaded
     import gwentropy
 
     src = str(Path(gwentropy.__file__).resolve().parents[1])
-    code = "import sys, gwentropy.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    table = "import gwentropy.cli; gwentropy.cli.main(['critical-table', '--n', '20', '-B', '1000'])"
+    for script in ("import gwentropy", table):
+        code = f"{script}\nimport sys\nprint([m for m in sys.modules if m.partition('.')[0] == 'scipy'], file=sys.stderr)"
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]", script
 
 
 def test_version_flag():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwentropy import (
+    DEFAULT_LEVELS,
     CriticalTable,
     EntropyOrder,
     EstimatorVariant,
@@ -186,12 +187,17 @@ def test_quantile_index_matches_order_statistic():
     # the critical value must be the ceil(level * B)-th smallest simulated T
     cfg = TestConfig(replications=200, seed=3)
     t = critical_values([6], levels=(0.05,), cfg=cfg)
-    from gwentropy.gof import _exact_t
+    from gwentropy.gof import _replicate, _t_rows
 
     # the null is the Exponential(1) alternative on tag 1; every replication's
-    # T by the scalar formula
-    draws = np.sort(_exact_t(Exponential(1.0), 1, cfg, 6, np.arange(200)))
-    assert t.value(6, 0.05) == draws[math.ceil(0.05 * 200) - 1]
+    # T by statistic, one stream at a time, and from the engine's kept sums
+    draws = [
+        statistic(Sample(Exponential(1.0).sample_values(6, SeededSampler(3, (1 << 56) | (6 << 32) | r).generator())))
+        .t_value for r in range(200)
+    ]
+    totals, means, _, _ = _replicate(Exponential(1.0), 1, cfg, 6, 0, 200)
+    assert _t_rows(totals, means, cfg.order, np.arange(200)) == draws
+    assert t.value(6, 0.05) == sorted(draws)[math.ceil(0.05 * 200) - 1]
 
 
 def test_critical_rows_and_power_count_pinned():
@@ -234,11 +240,10 @@ def test_replication_block_survives_zero_draw(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(distributions, "_philox_uniforms", zero_first)
-    dist, scale = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
+    totals, means, dist, scale = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
     assert len(blocks) == 1  # the engine drew its uniforms through the patched block
     assert np.all(np.isfinite(dist)) and math.isfinite(scale)
-    t = gof._exact_t(Exponential(1.0), 1, TestConfig(), 8, np.arange(3))
-    assert len(blocks) == 2  # and so did the redraw
+    t = gof._t_rows(totals, means, TestConfig().order, np.arange(3))
     assert all(0.0 < v <= 1.0 for v in t)
 
 
@@ -266,14 +271,14 @@ def test_replication_block_with_zero_gap_sum_raises(monkeypatch, constant_rows):
 def test_engine_distance_is_far_inside_the_band(d, order, n):
     # the engine's np.log distance against the exact one (math.log on Python
     # floats) on every replication of a few blocks: at most 2**-50 of the
-    # row's own scale, 1/1024 of the band (worst seen 1.6e-16); the
-    # replications near a cut are redrawn only if this gap stays inside it
-    from gwentropy.gof import _BAND, _draw, _replicate, _streams, _t_parts
+    # row's own scale, 1/1024 of the band (worst seen 1.6e-16); only the
+    # replications near a cut are finished exactly, so this gap must stay
+    # inside it
+    from gwentropy.gof import _BAND, _replicate, _t_parts
 
     cfg = TestConfig(order=order, seed=11)
     b = 3 * (_BLOCK_VALUES // n) // 2
-    dist, scale = _replicate(d, 2, cfg, n, 0, b)
-    totals, means = _draw(d, cfg, n, _streams(2, n, np.arange(b)))
+    totals, means, dist, scale = _replicate(d, 2, cfg, n, 0, b)
     parts = np.array([_t_parts(t, m, order.gamma, order.delta)[:2] for t, m in zip(totals.tolist(), means.tolist())])
     row_scale = 1.0 + np.abs(parts).sum(axis=1) + 4.0 * abs(math.log(order.gamma)) / order.delta
     assert row_scale.max() <= scale * (1.0 + 2.0**-50)  # the engine's, from its np.log terms
@@ -298,11 +303,11 @@ def _jittered(jitter: int):
 
     rng, exact = np.random.default_rng(jitter), gof._distances
 
-    def moved(totals, means, log_gamma, delta, out):
-        top = exact(totals, means, log_gamma, delta, out)
-        out += rng.uniform(-1.0, 1.0, out.size) * (gof._BAND / 3 * (1.0 + top))
-        np.maximum(out, 0.0, out=out)
-        return top
+    def moved(totals, means, order):
+        dist, scale = exact(totals, means, order)
+        dist += rng.uniform(-1.0, 1.0, dist.size) * (gof._BAND / 3 * scale)
+        np.maximum(dist, 0.0, out=dist)
+        return dist, scale
 
     return mock.patch.object(gof, "_distances", moved if jitter else exact)
 
@@ -326,13 +331,14 @@ def _jittered(jitter: int):
 )
 def test_cut_matches_sorting_every_exact_t(delta, beta, variant, b, n, alt, tied, seed, picks, jitter):
     # ranks and counts from the distances and the band against the route that
-    # finishes every replication by the scalar formula and sorts its T; with
+    # takes statistic's T of every replication's sample and sorts them; with
     # jitter, every engine distance is moved by up to the band's error margin
-    from gwentropy.gof import _counts_below, _exact_t, _ranked
+    from gwentropy.gof import _counts_below, _ranked, _streams
 
     cfg = TestConfig(order=EntropyOrder(beta - delta, beta), replications=b, seed=seed, variant=variant)
     d = _Tied(alt) if tied else alt
-    t = np.array(_exact_t(d, 2, cfg, n, np.arange(b)))
+    rows = d._sample_streams(cfg.seed, _streams(2, n, np.arange(b)), n)
+    t = np.array([statistic(Sample(row), cfg.order, cfg.variant).t_value for row in rows])
     at = [float(t[i % b]) for i in picks]
     cvs = [float(v) for x in at for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))]
     cvs += [0.0, -0.5, 1.0, 1.5, math.inf, math.nan]
@@ -344,7 +350,7 @@ def test_cut_matches_sorting_every_exact_t(delta, beta, variant, b, n, alt, tied
 def test_band_redraws_every_row_past_the_normal_t():
     # beyond distance 700, exp(-distance) nears the subnormals, where rows a
     # band apart can round to the same T: a cut there leaves no row surely
-    # beyond it and redraws every row from just below 700 up
+    # beyond it and finishes every row from just below 700 up exactly
     from gwentropy.gof import _BAND, _NORMAL_T_DISTANCE, _band
 
     dist = np.array([0.5, 690.0, 699.9, 700.0, 720.0, 745.5, 800.0, math.inf])
@@ -383,19 +389,20 @@ def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, s
     # replications a block) and three at n = _BLOCK_VALUES // 5 (5 a block),
     # the last one short either way; Gamma runs each block's rows, 10 or 5 or
     # fewer, as one set of rejection rounds
-    # the engine's distances are the statistic's to within the band, and a
-    # redrawn replication's exact T is the statistic's, bit for bit
-    from gwentropy.gof import _BAND, _exact_t, _replicate
+    # the engine's distances are the statistic's to within the band, and the
+    # exact T from a replication's kept gap sum and mean is the statistic's,
+    # bit for bit
+    from gwentropy.gof import _BAND, _replicate, _t_rows
 
     cfg = TestConfig(seed=2**64 - 59, variant=variant)
-    dist, scale = _replicate(d, 2, cfg, n, start, stop)
+    totals, means, dist, scale = _replicate(d, 2, cfg, n, start, stop)
     expected = [
         statistic(Sample(d.sample_values(n, SeededSampler(cfg.seed, (2 << 56) | (n << 32) | r).generator())),
                   cfg.order, cfg.variant)
         for r in range(start, stop)
     ]
     assert np.all(np.abs(dist - [st.distance for st in expected]) <= _BAND / 3 * scale)
-    assert _exact_t(d, 2, cfg, n, np.arange(start, stop)) == [st.t_value for st in expected]
+    assert _t_rows(totals, means, cfg.order, np.arange(stop - start)) == [st.t_value for st in expected]
 
 
 @pytest.mark.parametrize(
@@ -422,6 +429,28 @@ def test_replication_engine_peak_memory_is_a_few_blocks(d, n, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 2**20
+
+
+@pytest.mark.parametrize("row", ["table", "power"])
+def test_engine_memory_per_replication_is_bounded(row):
+    # a row keeps each replication's gap sum and mean (16 bytes) and its
+    # distance (8); beside them _distances holds its two log terms, and a
+    # table row one negated copy that it partitions in place: at most 40
+    # bytes per replication at B = 200 000, plus about a block's working set
+    b = 200_000
+    table = CriticalTable(ORD, DEFAULT_LEVELS, {5: (0.15, 0.2, 0.25)}, b, 5, EstimatorVariant.GAPS_ONLY)
+    if row == "table":
+        run = lambda cfg: critical_values([4], cfg=cfg)  # noqa: E731
+    else:
+        run = lambda cfg: power_study(Weibull(2.0), [5], cfg=cfg, table=table)  # noqa: E731
+    run(TestConfig(replications=100, seed=5))  # lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        run(TestConfig(replications=b, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * b + 2**20
 
 
 def _minor_faults(script: str) -> int:
