@@ -11,7 +11,9 @@ nothing, so the variants coincide there.
 
 Both estimators, gof.statistic and the replication engine reduce through one
 kernel, _gap_sums, which streams the sorted sample in chunks of _CHUNK_VALUES
-gaps; its memory beyond the sample is one array of n - 1 terms.
+gaps; its memory beyond the sample is still one array of n - 1 terms.  A
+Sample keeps the kernel's total, one float per (gamma, side, head), so
+estimating and then testing one sample costs one reduction per side.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ class Sample:
             raise GwentropyError("sample values must be nonnegative")
         arr.flags.writeable = False
         self.values = arr
+        self._sums: dict[tuple[float, bool, bool], float] = {}
+
+    def _gap_sum(self, gamma: float, survival: bool, include_head: bool) -> float:
+        """_gap_sums of the sample, formed once per key; not finite raises (the squares overflow)."""
+        key = (gamma, survival, include_head)
+        if key not in self._sums:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(_gap_sums(self.values, gamma, survival, include_head))
+            if not math.isfinite(total):
+                raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
+            self._sums[key] = total
+        return self._sums[key]
 
     @property
     def n(self) -> int:
@@ -122,12 +136,15 @@ def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -
         hi = min(lo + _CHUNK_VALUES, n - 1)
         xc = x[..., lo : hi + 1]
         sq = xc * xc
-        q = np.arange(lo + 1, hi + 1) / n
-        weights = (1.0 - q) ** gamma if survival else q**gamma
+        q = np.arange(lo + 1, hi + 1, dtype=float)
+        q /= n
+        if survival:
+            np.subtract(1.0, q, out=q)
+        q **= gamma
         chunk = terms[..., lo:hi]
         np.subtract(sq[..., 1:], sq[..., :-1], out=chunk)
-        chunk /= 2.0
-        chunk *= weights
+        chunk *= 0.5
+        chunk *= q
     total = terms.sum(axis=-1)
     if include_head:
         total = total + x[..., 0] * x[..., 0] / 2.0
@@ -137,7 +154,7 @@ def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -
 def _log_gap_sum(total: float) -> float:
     """Log of a gap sum; math.log, not np.log, keeps the simulated tables' bits."""
     if not total > 0.0:  # NaN fails too
-        raise DegenerateSampleError("empirical integral is zero; sample carries no spread")
+        raise DegenerateSampleError("empirical integral is zero; the sample carries no spread or its squares underflow")
     return math.log(total)
 
 
@@ -150,12 +167,11 @@ def empirical_gwse(
 
     The gap i (between the i-th and (i+1)-th order statistics) carries
     weight (1 - i/n) ** gamma.  Raises DegenerateSampleError when the sum
-    is not positive (for instance when all values coincide).
+    is not positive (for instance when all values coincide) or not finite.
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    total = _gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP)
-    return _log_gap_sum(float(total)) / order.delta
+    return _log_gap_sum(s._gap_sum(order.gamma, True, variant is EstimatorVariant.FULL_STEP)) / order.delta
 
 
 def empirical_gwfe(
@@ -171,4 +187,4 @@ def empirical_gwfe(
     """
     if s.n < 2:
         raise GwentropyError("estimator needs at least 2 observations")
-    return _log_gap_sum(float(_gap_sums(s.values, order.gamma, False, False))) / order.delta
+    return _log_gap_sum(s._gap_sum(order.gamma, False, False)) / order.delta

@@ -159,8 +159,8 @@ def statistic(
         order = DEFAULT_ORDER
     if s.n < 2:
         raise GwentropyError("statistic needs at least 2 observations")
+    total = s._gap_sum(order.gamma, True, variant is EstimatorVariant.FULL_STEP)  # before the mean: raises on overflow
     mean = float(s.values.mean())
-    total = float(_gap_sums(s.values, order.gamma, True, variant is EstimatorVariant.FULL_STEP))
     estimate, plug_in, t = _t_parts(total, mean, order.gamma, order.delta)
     return TestStatistic(
         lambda_hat=1.0 / mean,

@@ -403,6 +403,22 @@ def test_domain_error_near_zero_power_shape_under_warnings_as_errors():
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
 
 
+@pytest.mark.parametrize("command", [["empirical"], ["gof-test", "--replications", "100"]])
+def test_overflowing_sample_is_one_json_line_under_warnings_as_errors(command, tmp_path):
+    # squares of 1e200 overflow: one JSON line and exit 1, not an inf estimate
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
+    path = write_values(tmp_path, "x.txt", [0.0, 1.0, 1e200])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gwentropy", *command, "--data", path],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "degenerate-sample"
+
+
 def test_domain_error_invalid_order(capsys):
     code, _, err = run_cli(capsys, "entropy", "--dist", "exp(1)", "--alpha", "2.0", "--beta", "1.25")
     assert code == 1

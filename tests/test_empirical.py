@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gwentropy import (
+    CriticalTable,
     EntropyOrder,
     EstimatorVariant,
     Sample,
+    TestConfig,
     empirical_gwfe,
     empirical_gwse,
     gwse,
+    run_test,
     sample,
     statistic,
 )
+from gwentropy import empirical
 from gwentropy.distributions import Exponential, SeededSampler, Uniform
 from gwentropy.empirical import _BLOCK_VALUES, _CHUNK_VALUES, _gap_sums
 from gwentropy.errors import DegenerateSampleError, GwentropyError
@@ -156,10 +161,12 @@ def test_gap_sums_match_whole_array_formula_drawn(gamma, n, survival, head):
     ids=["empirical_gwse", "empirical_gwfe", "statistic"],
 )
 def test_estimator_peak_memory_is_about_one_sample(estimate):
-    # the kernel holds one array of n - 1 terms; everything else is chunk-sized
+    # the kernel holds one array of n - 1 terms; everything else is chunk-sized.
+    # A Sample keeps its gap sums, so the traced call is a fresh sample's first
     n = 10**6
-    s = Sample(SeededSampler(5, 0).generator().exponential(size=n))
-    estimate(s)  # first call outside the trace: lazy imports and caches
+    x = SeededSampler(5, 0).generator().exponential(size=n)
+    estimate(Sample(x))  # a first call outside the trace: lazy imports and caches
+    s = Sample(x)
     tracemalloc.start()
     try:
         estimate(s)
@@ -167,6 +174,92 @@ def test_estimator_peak_memory_is_about_one_sample(estimate):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * 8
+
+
+# ---------- kept gap sums ----------
+
+
+def _kernel_runs(monkeypatch) -> list:
+    """Record every call to the estimator kernel from here on."""
+    runs, kernel = [], empirical._gap_sums
+
+    def counted(x, *key):
+        runs.append(key)
+        return kernel(x, *key)
+
+    monkeypatch.setattr(empirical, "_gap_sums", counted)
+    return runs
+
+
+def test_estimate_then_test_runs_the_kernel_once_per_side(monkeypatch):
+    runs = _kernel_runs(monkeypatch)
+    s = Sample(SeededSampler(2, 0).generator().exponential(size=50))
+    surv, fail, stat = empirical_gwse(s, ORD), empirical_gwfe(s, ORD), statistic(s, ORD)
+    assert runs == [(ORD.gamma, True, False), (ORD.gamma, False, False)]
+    assert stat.estimate == surv and fail != surv
+    # a repeated statistic or test reads the kept sum
+    table = CriticalTable(ORD, (0.05,), {50: (0.5,)}, 100, 0, EstimatorVariant.GAPS_ONLY)
+    assert statistic(s, ORD) == stat
+    assert run_test(s, TestConfig(order=ORD), table).statistic == stat
+    assert len(runs) == 2
+
+
+def test_kept_sums_are_keyed_by_gamma_side_and_head():
+    s = Sample([0.5, 1.0, 3.0])
+    for variant in EstimatorVariant:
+        empirical_gwse(s, ORD, variant)
+        empirical_gwfe(s, ORD, variant)
+    # FULL_STEP and GAPS_ONLY keep one survival sum each and share the failure sum
+    assert sorted(s._sums) == [(ORD.gamma, False, False), (ORD.gamma, True, False), (ORD.gamma, True, True)]
+    empirical_gwse(s, EntropyOrder(0.5, 1.25))
+    assert len(s._sums) == 4
+
+
+def test_scaled_sample_starts_with_no_kept_sums():
+    s = Sample([0.5, 1.0, 3.0])
+    empirical_gwse(s, ORD)
+    t = s.scaled(2.0)
+    assert s._sums and t._sums == {}
+    assert empirical_gwse(t, ORD) == empirical_gwse(Sample(t.values), ORD)
+
+
+@given(
+    beta=st.floats(1.0, 4.0),
+    share=st.floats(0.01, 0.99),
+    n=st.integers(2, 300),
+    variant=st.sampled_from(EstimatorVariant),
+)
+def test_kept_sums_give_a_fresh_samples_values(beta, share, n, variant):
+    order = EntropyOrder(beta - 1.0 + share, beta)
+    x = SeededSampler(n, 3).generator().exponential(size=n)
+    estimates = [
+        lambda s: empirical_gwse(s, order, variant),
+        lambda s: empirical_gwfe(s, order, variant),
+        lambda s: statistic(s, order, variant),
+    ]
+    s = Sample(x)
+    for estimate in estimates + estimates:  # the second round reads the kept sums
+        assert estimate(s) == estimate(Sample(x))
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 1e200], [1e200, 2e200]], ids=["one-overflows", "all-overflow"])
+@pytest.mark.parametrize(
+    "estimate",
+    [lambda s: empirical_gwse(s, ORD), lambda s: empirical_gwfe(s, ORD), lambda s: statistic(s, ORD)],
+    ids=["empirical_gwse", "empirical_gwfe", "statistic"],
+)
+def test_overflowing_squares_raise_a_typed_error(values, estimate):
+    # an inf estimate would give T = 0, outside (0, 1]; no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError, match="squares overflow"):
+            estimate(Sample(values))
+
+
+def test_underflowing_squares_name_both_causes():
+    # the sample has spread, but its squares round to zero
+    with pytest.raises(DegenerateSampleError, match="no spread or its squares underflow"):
+        empirical_gwse(Sample([1e-200, 2e-200]), ORD)
 
 
 # ---------- survival-side estimator ----------

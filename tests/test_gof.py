@@ -347,7 +347,7 @@ def test_cut_matches_sorting_every_exact_t(delta, beta, variant, b, n, alt, tied
         assert _counts_below(d, 2, cfg, n, cvs) == [int((t < cv).sum()) for cv in cvs]
 
 
-def test_band_redraws_every_row_past_the_normal_t():
+def test_band_finishes_every_row_past_the_normal_t():
     # beyond distance 700, exp(-distance) nears the subnormals, where rows a
     # band apart can round to the same T: a cut there leaves no row surely
     # beyond it and finishes every row from just below 700 up exactly
