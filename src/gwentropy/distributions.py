@@ -12,6 +12,10 @@ time (wmit), and inversion-based sampling.  Parametrizations:
 * Weibull(shape):               sf(x) = exp(-x ** shape), unit scale
 * Gamma(shape):                 unit scale
 
+Exponential, Rayleigh, Weibull and ProportionalHazards are hazard-form
+families: each states its log survival -H(x), its hazard H' and the inverse
+of -H, and its cdf, sf, quantile and isf follow from those.
+
 wmrl(t) is E[(X^2 - t^2)/2 | X > t] written as an integral of x * sf(x)/sf(t)
 from t; wmit(t) is the mirrored integral of x * cdf(x)/cdf(t) up to t.
 """
@@ -50,6 +54,14 @@ def _require(condition: bool, message: str) -> None:
         raise GwentropyError(message)
 
 
+def _parameter(value: float, name: str, low: float = 0.0, low_allowed: bool = False) -> float:
+    """A family parameter as a float: finite, and above low (or equal to it where allowed)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > low or low_allowed and value == low)):  # no message built on success
+        raise GwentropyError(f"{name} must be finite and {'>=' if low_allowed else '>'} {low:g}")
+    return value
+
+
 def _special():
     """scipy.special, imported at first use: only Gamma and Rayleigh's
     unweighted closed form need it, and it more than doubles start-up."""
@@ -66,10 +78,12 @@ class Distribution:
 
     support: tuple[float, float] = (0.0, math.inf)
 
-    # subclasses implement pdf, cdf, sf and the unchecked inverse _quantile
-    # (plus _isf where 1 - u would lose precision); a family with an
-    # infinite tail also gives _log_sf, _hazard and _isf_log, which hold
-    # where sf underflows: ProportionalHazards with a small theta reaches there
+    # a subclass gives pdf and either
+    # - cdf, sf and the unchecked inverse _quantile (plus _isf where 1 - u
+    #   would lose precision), and with an infinite tail also _log_sf,
+    #   _hazard and _isf_log, which hold where sf underflows; or
+    # - as a _HazardForm, only _log_sf = -H, _hazard = H' and _isf_log, the
+    #   inverse of -H, from which that class derives cdf, sf, _quantile and _isf
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
@@ -167,35 +181,41 @@ class Distribution:
         return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
 
 
+class _HazardForm(Distribution):
+    """A family stated by its log survival -H(x), H the cumulative hazard:
+    sf, cdf and both inverses follow from _log_sf and _isf_log, in forms
+    that keep their digits in both tails and where sf underflows, which
+    ProportionalHazards with a small theta reaches."""
+
+    def sf(self, x):
+        return np.exp(self._log_sf(x))
+
+    def cdf(self, x):
+        return -np.expm1(self._log_sf(x))
+
+    def _quantile(self, u):
+        return self._isf_log(np.log1p(-u))
+
+    def _isf(self, v):
+        return self._isf_log(np.log(v))
+
+
 # ---------- families ----------
 
 
-class Exponential(Distribution):
+class Exponential(_HazardForm):
     """Exponential with rate parameter, sf(x) = exp(-rate * x)."""
 
     def __init__(self, rate: float):
-        _require(rate > 0.0, "rate must be positive")
-        self.rate = float(rate)
-        self.support = (0.0, math.inf)
+        self.rate = _parameter(rate, "rate")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * x))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate * x))
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 1.0, np.exp(-self.rate * x))
-
     def _quantile(self, u):
         # the bits of -log1p(-u) / rate, one array operation fewer
         return np.log1p(-u) / -self.rate
-
-    def _isf(self, v):
-        return self._isf_log(np.log(v))
 
     def _isf_log(self, log_v):
         return -log_v / self.rate
@@ -216,10 +236,8 @@ class Pareto(Distribution):
     """Pareto with tail index `shape` and lower endpoint `scale`."""
 
     def __init__(self, shape: float, scale: float):
-        _require(shape > 0.0, "shape must be positive")
-        _require(scale > 0.0, "scale must be positive")
-        self.shape = float(shape)
-        self.scale = float(scale)
+        self.shape = _parameter(shape, "shape")
+        self.scale = _parameter(scale, "scale")
         self.support = (self.scale, math.inf)
 
     def pdf(self, x):
@@ -273,10 +291,8 @@ class Uniform(Distribution):
     """Uniform on [lower, upper] with lower >= 0."""
 
     def __init__(self, lower: float, upper: float):
-        _require(lower >= 0.0, "lower bound must be nonnegative")
-        _require(upper > lower, "upper bound must exceed lower bound")
-        self.lower = float(lower)
-        self.upper = float(upper)
+        self.lower = _parameter(lower, "lower bound", low_allowed=True)
+        self.upper = _parameter(upper, "upper bound", self.lower)
         self.support = (self.lower, self.upper)
 
     def _width(self):
@@ -318,10 +334,8 @@ class Power(Distribution):
     """Power-function distribution, cdf(x) = (x / upper) ** shape on [0, upper]."""
 
     def __init__(self, shape: float, upper: float):
-        _require(shape > 0.0, "shape must be positive")
-        _require(upper > 0.0, "upper bound must be positive")
-        self.shape = float(shape)
-        self.upper = float(upper)
+        self.shape = _parameter(shape, "shape")
+        self.upper = _parameter(upper, "upper bound")
         self.support = (0.0, self.upper)
 
     def pdf(self, x):
@@ -347,31 +361,15 @@ class Power(Distribution):
         return s * s / (cg + 2.0) if weighted else s / (cg + 1.0)
 
 
-class Rayleigh(Distribution):
+class Rayleigh(_HazardForm):
     """Rayleigh parametrized so that sf(x) = exp(-rate * x**2)."""
 
     def __init__(self, rate: float):
-        _require(rate > 0.0, "rate must be positive")
-        self.rate = float(rate)
-        self.support = (0.0, math.inf)
+        self.rate = _parameter(rate, "rate")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, 2.0 * self.rate * x * np.exp(-self.rate * x * x))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate * x * x))
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 1.0, np.exp(-self.rate * x * x))
-
-    def _quantile(self, u):
-        return np.sqrt(-np.log1p(-u) / self.rate)
-
-    def _isf(self, v):
-        return self._isf_log(np.log(v))
 
     def _isf_log(self, log_v):
         return np.sqrt(-log_v / self.rate)
@@ -392,13 +390,11 @@ class Rayleigh(Distribution):
         return math.sqrt(math.pi / (4.0 * lg)) * _special().erfcx(t * math.sqrt(lg))
 
 
-class Weibull(Distribution):
+class Weibull(_HazardForm):
     """Weibull with unit scale, sf(x) = exp(-x ** shape)."""
 
     def __init__(self, shape: float):
-        _require(shape > 0.0, "shape must be positive")
-        self.shape = float(shape)
-        self.support = (0.0, math.inf)
+        self.shape = _parameter(shape, "shape")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -406,22 +402,6 @@ class Weibull(Distribution):
         xs = np.where(inside, x, 1.0)
         with np.errstate(divide="ignore"):
             return np.where(inside, self.shape * xs ** (self.shape - 1.0) * np.exp(-(xs**self.shape)), 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.where(x > 0.0, x, 0.0)
-        return -np.expm1(-(xs**self.shape))
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.where(x > 0.0, x, 0.0)
-        return np.exp(-(xs**self.shape))
-
-    def _quantile(self, u):
-        return (-np.log1p(-u)) ** (1.0 / self.shape)
-
-    def _isf(self, v):
-        return self._isf_log(np.log(v))
 
     def _isf_log(self, log_v):
         return (-log_v) ** (1.0 / self.shape)
@@ -441,11 +421,9 @@ class Gamma(Distribution):
     """Gamma with unit scale and shape parameter."""
 
     def __init__(self, shape: float):
-        _require(shape > 0.0, "shape must be positive")
-        self.shape = float(shape)
-        self.support = (0.0, math.inf)
+        self.shape = _parameter(shape, "shape")
         # the density's right limit at 0, which the hazard shares since sf(0) = 1
-        self._at_zero = math.inf if shape < 1.0 else 1.0 if shape == 1.0 else 0.0
+        self._at_zero = math.inf if self.shape < 1.0 else 1.0 if self.shape == 1.0 else 0.0
 
     def _log_pdf(self, xs):
         return (self.shape - 1.0) * np.log(xs) - xs - _special().gammaln(self.shape)
@@ -548,11 +526,9 @@ class Affine(Distribution):
     """
 
     def __init__(self, base: Distribution, scale: float, shift: float = 0.0):
-        _require(scale > 0.0, "scale must be positive")
-        _require(shift >= 0.0, "shift must be nonnegative")
         self.base = base
-        self.scale = float(scale)
-        self.shift = float(shift)
+        self.scale = _parameter(scale, "scale")
+        self.shift = _parameter(shift, "shift", low_allowed=True)
         lo, hi = base.support
         self.support = (self.scale * lo + self.shift, self.scale * hi + self.shift)
 
@@ -612,13 +588,12 @@ class Affine(Distribution):
         return self._from_base(self.base._failure_closed, g, t, weighted)
 
 
-class ProportionalHazards(Distribution):
+class ProportionalHazards(_HazardForm):
     """Distribution with sf(x) = base.sf(x) ** theta (theta > 0)."""
 
     def __init__(self, base: Distribution, theta: float):
-        _require(theta > 0.0, "theta must be positive")
         self.base = base
-        self.theta = float(theta)
+        self.theta = _parameter(theta, "theta")
         self.support = base.support
 
     # sf = base.sf**theta is taken in logs, and pdf as theta * sf * base
@@ -630,23 +605,11 @@ class ProportionalHazards(Distribution):
         with np.errstate(invalid="ignore"):  # the base hazard is inf at a finite top
             return np.where(s > 0.0, self.theta * s * self.base._hazard(x), 0.0)
 
-    def cdf(self, x):
-        return -np.expm1(self._log_sf(x))
-
-    def sf(self, x):
-        return np.exp(self._log_sf(x))
-
     def _log_sf(self, x):
         return self.theta * self.base._log_sf(x)
 
     def _hazard(self, x):
         return self.theta * self.base._hazard(x)
-
-    def _quantile(self, u):
-        return self._isf_log(np.log1p(-np.asarray(u, dtype=float)))
-
-    def _isf(self, v):
-        return self._isf_log(np.log(v))
 
     def _isf_log(self, log_v):
         # log base sf = log_v / theta
@@ -664,9 +627,8 @@ class ProportionalReverseHazards(Distribution):
     """Distribution with cdf(x) = base.cdf(x) ** theta (theta > 0)."""
 
     def __init__(self, base: Distribution, theta: float):
-        _require(theta > 0.0, "theta must be positive")
         self.base = base
-        self.theta = float(theta)
+        self.theta = _parameter(theta, "theta")
         self.support = base.support
 
     def pdf(self, x):

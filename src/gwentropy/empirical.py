@@ -43,7 +43,10 @@ class Sample:
     """
 
     def __init__(self, values):
-        arr = np.sort(np.asarray(values, dtype=float), axis=None)
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim > 1:
+            raise GwentropyError("sample must be one-dimensional")
+        arr = np.sort(arr, axis=None)
         if arr.size == 0:
             raise GwentropyError("sample is empty")
         self._keep(arr)

@@ -226,6 +226,31 @@ def test_usage_error_bad_distribution():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["exp(inf)", "exp(1e400)", "exp(nan)", "uniform(0,inf)", "rayleigh(inf)", "gamma(inf)", "pareto(3,inf)",
+     "power(2,inf)", "weibull(inf)"],
+)
+def test_usage_error_non_finite_parameter(spec, capsys):
+    # pytest turns warnings into errors, so no RuntimeWarning precedes the usage message
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--dist", spec])
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_usage_error_non_finite_parameter_under_warnings_as_errors():
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gwentropy", "entropy", "--dist", "exp(inf)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage:") and "rate must be finite" in proc.stderr
+
+
 def test_usage_error_bad_range():
     with pytest.raises(SystemExit) as exc:
         main(["critical-table", "--n", "10:4"])

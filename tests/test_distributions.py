@@ -1,8 +1,10 @@
 """Distribution families: shapes, inverses, sampling, residual moments."""
 
 import ctypes
+import hashlib
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +109,82 @@ def test_rayleigh_and_weibull_shapes():
     assert w.hazard(1.5) == pytest.approx(2.0 * 1.5, rel=1e-12)
 
 
+_HAZARD_FAMILIES = {
+    "exp": Exponential(1.3),
+    "rayleigh": Rayleigh(0.7),
+    "weibull0.6": Weibull(0.6),
+    "weibull1": Weibull(1.0),
+    "weibull1.8": Weibull(1.8),
+}
+_OTHER_FAMILIES = {"pareto": Pareto(4.5, 0.8), "uniform": Uniform(0.4, 2.1), "power": Power(1.7, 2.2), "gamma": Gamma(2.6)}
+_PINNED = {
+    **_HAZARD_FAMILIES,
+    **{f"ph-{k}": ProportionalHazards(d, 0.4) for k, d in {**_HAZARD_FAMILIES, **_OTHER_FAMILIES}.items()},
+    **{f"affine-{k}": Affine(d, 1.5, 0.5) for k, d in _HAZARD_FAMILIES.items()},
+    **{f"prh-{k}": ProportionalReverseHazards(d, 2.5) for k, d in _HAZARD_FAMILIES.items()},
+}
+# sha256 of every pointwise function's bits on the grids below, array and
+# scalar calls, with zeros and NaNs normalized (first 16 hex digits)
+_PINNED_DIGESTS = {
+    "exp": "7434934bed49f770",
+    "rayleigh": "bb3f0404e58c545d",
+    "weibull0.6": "ffa37b26a5c1924f",
+    "weibull1": "e860099515a1fcd0",
+    "weibull1.8": "021d44248bc5ab63",
+    "ph-exp": "b3a7e1ea03384c39",
+    "ph-rayleigh": "7a614249b31cfc93",
+    "ph-weibull0.6": "f585521d70ce087f",
+    "ph-weibull1": "380b56e6742a97a1",
+    "ph-weibull1.8": "0927c7c76c021e00",
+    "ph-pareto": "07f3d7f8535d22d8",
+    "ph-uniform": "85e111f07f3ed582",
+    "ph-power": "1e2b555ce8b88815",
+    "ph-gamma": "c2ffa58fd954297a",
+    "affine-exp": "faed5b7bf4bc5b5e",
+    "affine-rayleigh": "b8a8a5915815aa8c",
+    "affine-weibull0.6": "45ffa66750707b2c",
+    "affine-weibull1": "7939b92dc3df380b",
+    "affine-weibull1.8": "509121d7b44c41c1",
+    "prh-exp": "511bcecffbed3fba",
+    "prh-rayleigh": "f4bfe3eec5a901f9",
+    "prh-weibull0.6": "fc18cfa13f833582",
+    "prh-weibull1": "422a148dae166f3f",
+    "prh-weibull1.8": "e4ffcd456b189e3d",
+}
+_X = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 1e-8, 0.3, 0.8, 1.0, 1.7, 2.1, 2.2, 5.0, 40.0, 1e200, np.inf, np.nan])
+_U = np.array([1e-300, 1e-16, 1e-8, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-8, 1.0 - 1e-16])
+_LOG_V = np.array([-0.0, -1e-300, -1e-16, -1e-3, -0.5, -1.0, -5.0, -50.0, -700.0, -750.0, -1e4])
+
+
+def _bits(f, grid) -> bytes:
+    """f on the grid as one array and element by element: the values with
+    -0.0 read as 0.0 and every NaN as one NaN, or the error's name."""
+    out = []
+    for call in (lambda: f(grid), lambda: [np.asarray(f(float(v)), dtype=float) for v in grid]):
+        try:
+            y = np.asarray(call(), dtype=float)
+        except Exception as exc:  # a raise is part of the pinned behaviour
+            out.append(type(exc).__name__.encode())
+            continue
+        out.append(np.where(np.isnan(y), np.nan, y + 0.0).tobytes())
+    return b"|".join(out)
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_pointwise_functions_keep_their_bits(name):
+    d = _PINNED[name]
+    h = hashlib.sha256()
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for f, grid in [
+            *[(getattr(d, f), _X) for f in ("pdf", "cdf", "sf", "_log_sf", "_hazard")],
+            *[(getattr(d, f), _U) for f in ("_quantile", "_isf", "quantile", "isf")],
+            (d._isf_log, _LOG_V),
+        ]:
+            h.update(_bits(f, grid) + b"#")
+    assert h.hexdigest()[:16] == _PINNED_DIGESTS.get(name)
+
+
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
 def test_quantile_round_trip(d):
     u = np.linspace(0.01, 0.99, 23)
@@ -204,6 +282,31 @@ def test_parameter_validation():
         Uniform(2.0, 2.0)
     with pytest.raises(GwentropyError):
         Power(1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(Exponential, id="exponential"),
+        pytest.param(Rayleigh, id="rayleigh"),
+        pytest.param(Weibull, id="weibull"),
+        pytest.param(Gamma, id="gamma"),
+        pytest.param(lambda p: Pareto(p, 1.0), id="pareto-shape"),
+        pytest.param(lambda p: Pareto(3.0, p), id="pareto-scale"),
+        pytest.param(lambda p: Uniform(p, 2.0), id="uniform-lower"),
+        pytest.param(lambda p: Uniform(0.0, p), id="uniform-upper"),
+        pytest.param(lambda p: Power(p, 1.0), id="power-shape"),
+        pytest.param(lambda p: Power(2.0, p), id="power-upper"),
+        pytest.param(lambda p: Affine(Exponential(1.0), p), id="affine-scale"),
+        pytest.param(lambda p: Affine(Exponential(1.0), 1.0, p), id="affine-shift"),
+        pytest.param(lambda p: ProportionalHazards(Exponential(1.0), p), id="ph"),
+        pytest.param(lambda p: ProportionalReverseHazards(Exponential(1.0), p), id="prh"),
+    ],
+)
+def test_every_family_parameter_must_be_finite(make, bad):
+    with pytest.raises(GwentropyError, match="must be finite"):
+        make(bad)
 
 
 def test_hazard_reverse_hazard_domains():

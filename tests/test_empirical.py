@@ -50,6 +50,8 @@ def test_sample_validation():
         Sample([1.0, math.nan])
     with pytest.raises(GwentropyError, match="finite"):
         Sample([1.0, math.inf])
+    with pytest.raises(GwentropyError, match="one-dimensional"):
+        Sample(np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
 
 
 @pytest.mark.parametrize(
