@@ -210,8 +210,6 @@ def proportional_model_check(
     """
     if side not in ("survival", "failure"):
         raise GwentropyError(f"side must be 'survival' or 'failure', got {side!r}")
-    if theta <= 0.0:
-        raise GwentropyError("theta must be positive")
 
     if side == "survival":
         model = dist.ProportionalHazards(d, theta)

@@ -213,12 +213,8 @@ class Exponential(_HazardForm):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * x))
 
-    def _quantile(self, u):
-        # the bits of -log1p(-u) / rate, one array operation fewer
-        return np.log1p(-u) / -self.rate
-
     def _isf_log(self, log_v):
-        return -log_v / self.rate
+        return log_v / -self.rate
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
