@@ -127,11 +127,13 @@ class Distribution:
 
     def hazard(self, t: float) -> float:
         """Failure rate pdf(t) / sf(t); defined where sf(t) > 0."""
+        _require(not math.isnan(t), "hazard undefined at t=nan")  # some families' sf(nan) is 1
         _require(float(self.sf(t)) > 0.0, f"hazard undefined at t={t}: survival is zero")
         return float(self._hazard(t))
 
     def reverse_hazard(self, t: float) -> float:
         """Reversed rate pdf(t) / cdf(t); defined where cdf(t) > 0."""
+        _require(not math.isnan(t), "reverse hazard undefined at t=nan")
         c = float(self.cdf(t))
         _require(c > 0.0, f"reverse hazard undefined at t={t}: cdf is zero")
         return float(self.pdf(t)) / c

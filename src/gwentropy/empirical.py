@@ -10,10 +10,12 @@ On the failure side the leading segment has empirical cdf 0 and contributes
 nothing, so the variants coincide there.
 
 Both estimators, gof.statistic and the replication engine reduce through one
-kernel, _gap_sums, which streams the sorted sample in chunks of _CHUNK_VALUES
-gaps; its memory beyond the sample is still one array of n - 1 terms.  A
-Sample keeps the kernel's total, one float per (gamma, side, head), so
-estimating and then testing one sample costs one reduction per side.
+kernel, _gap_sums, which streams the sorted sample in chunks of at most
+_CHUNK_VALUES gaps along numpy's pairwise-summation tree and forms both
+sides in the same pass; its memory beyond the sample is a few chunks at any
+n.  A Sample keeps both sides' totals of each gamma it was asked for and adds
+the head x_(1)**2 / 2 on read, so both estimators, both variants and
+gof.statistic on one sample cost one kernel pass per gamma.
 """
 
 from __future__ import annotations
@@ -60,18 +62,21 @@ class Sample:
             raise GwentropyError("sample values must be nonnegative")
         arr.flags.writeable = False
         self.values = arr
-        self._sums: dict[tuple[float, bool, bool], float] = {}
+        self._sums: dict[float, tuple[float, float]] = {}
 
     def _gap_sum(self, gamma: float, survival: bool, include_head: bool) -> float:
-        """_gap_sums of the sample, formed once per key; not finite raises (the squares overflow)."""
-        key = (gamma, survival, include_head)
-        if key not in self._sums:
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = float(_gap_sums(self.values, gamma, survival, include_head))
-            if not math.isfinite(total):
-                raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
-            self._sums[key] = total
-        return self._sums[key]
+        """One side's gap sum of the sample, plus _head if include_head; not
+        finite raises (the squares overflow).  The first request for a gamma
+        forms both sides in one _gap_sums pass and keeps them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gamma not in self._sums:
+                self._sums[gamma] = tuple(float(t) for t in _gap_sums(self.values, gamma, (True, False)))
+            total = self._sums[gamma][0 if survival else 1]
+            if include_head:
+                total = float(total + _head(self.values))
+        if not math.isfinite(total):
+            raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
+        return total
 
     @property
     def n(self) -> int:
@@ -121,37 +126,62 @@ _CHUNK_VALUES = 16384
 _BLOCK_VALUES = 2 * _CHUNK_VALUES
 
 
-def _gap_sums(x: np.ndarray, gamma: float, survival: bool, include_head: bool) -> np.ndarray:
-    """Weighted half-gap sums along the last axis of sorted x: the sum over
-    gaps i = 1 .. n-1 of w_i * (x_(i+1)**2 - x_(i)**2) / 2, plus x_(1)**2 / 2
-    if include_head, with w_i = (1 - i/n) ** gamma on the survival side and
-    (i/n) ** gamma on the failure side.
+def _gap_sums(x: np.ndarray, gamma: float, sides: tuple[bool, ...]) -> list[np.ndarray]:
+    """Weighted half-gap sums along the last axis of sorted x, one per side
+    in sides (True: survival, False: failure): the sum over gaps
+    i = 1 .. n-1 of w_i * (x_(i+1)**2 - x_(i)**2) / 2, with
+    w_i = (1 - i/n) ** gamma on the survival side and (i/n) ** gamma on the
+    failure side.  The head x_(1)**2 / 2 is _head's.
 
     The one kernel behind empirical_gwse, empirical_gwfe, gof.statistic and
-    the replication engine, which passes one sorted sample per row.  Terms
-    and weights are formed _CHUNK_VALUES gaps at a time into one terms array,
-    reduced once, so a sum has the bits of the whole-array formula and a
-    row's sum has the bits of the same sample reduced on its own.
+    the replication engine, which passes one sorted sample per row.  The
+    squares, gaps and i/n are formed once for every side, and no array of
+    the n - 1 terms is built: the sums follow the tree of numpy's pairwise
+    sum, whose node of m > 128 values splits at m // 2 - (m // 2) % 8.  A
+    node of at most _CHUNK_VALUES gaps is a leaf, its terms formed in reused
+    chunk buffers and reduced by .sum(axis=-1), numpy's pairwise sum of that
+    node.  So every total has the bits of the whole array's
+    terms.sum(axis=-1), and a row's those of its sample reduced on its own.
     """
     n = x.shape[-1]
-    terms = np.empty(x.shape[:-1] + (n - 1,))
-    for lo in range(0, n - 1, _CHUNK_VALUES):
-        hi = min(lo + _CHUNK_VALUES, n - 1)
-        xc = x[..., lo : hi + 1]
-        sq = xc * xc
-        q = np.arange(lo + 1, hi + 1, dtype=float)
+    width = min(n - 1, _CHUNK_VALUES)
+    squares = np.empty(x.shape[:-1] + (width + 1,))  # the squares, then a side's terms
+    gaps = np.empty(x.shape[:-1] + (width,))
+    last = len(sides) - 1
+
+    def leaf(lo: int, m: int) -> list[np.ndarray]:
+        xc = x[..., lo : lo + m + 1]
+        sq = np.multiply(xc, xc, out=squares[..., : m + 1])
+        g = np.subtract(sq[..., 1:], sq[..., :-1], out=gaps[..., :m])
+        g *= 0.5
+        q = np.arange(lo + 1, lo + m + 1, dtype=float)
         q /= n
-        if survival:
-            np.subtract(1.0, q, out=q)
-        q **= gamma
-        chunk = terms[..., lo:hi]
-        np.subtract(sq[..., 1:], sq[..., :-1], out=chunk)
-        chunk *= 0.5
-        chunk *= q
-    total = terms.sum(axis=-1)
-    if include_head:
-        total = total + x[..., 0] * x[..., 0] / 2.0
-    return total
+        totals = []
+        for k, survival in enumerate(sides):
+            # the last side's weights and terms overwrite i/n and the gaps
+            w = q if k == last else q.copy()
+            if survival:
+                np.subtract(1.0, w, out=w)
+            w **= gamma
+            totals.append(np.multiply(g, w, out=g if k == last else squares[..., :m]).sum(axis=-1))
+        return totals
+
+    return _pairwise(leaf, 0, n - 1)
+
+
+def _pairwise(leaf, lo: int, m: int) -> list[np.ndarray]:
+    """leaf's totals over gaps [lo, lo + m), added up along numpy's pairwise
+    tree; module-level, so the kernel's buffers form no reference cycle."""
+    if m <= _CHUNK_VALUES:
+        return leaf(lo, m)
+    h = m // 2 - (m // 2) % 8
+    return [a + b for a, b in zip(_pairwise(leaf, lo, h), _pairwise(leaf, lo + h, m - h))]
+
+
+def _head(x: np.ndarray) -> np.ndarray:
+    """The leading segment's x_(1)**2 / 2 along the last axis of sorted x,
+    which the FULL_STEP variant adds to the survival gap sum."""
+    return x[..., 0] * x[..., 0] / 2.0
 
 
 def _log_gap_sum(total: float) -> float:

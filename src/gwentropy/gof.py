@@ -26,7 +26,9 @@ one set of rejection rounds, distributions._gamma_rounds, on every row of
 the block at once, with ziggurat normals read from the same words and the
 rounds' per-value arrays in one workspace of four arrays of the block's
 values.  A block is sorted and reduced row-wise by the kernel shared with
-statistic and the empirical estimators, empirical._gap_sums.
+statistic and the empirical estimators, empirical._gap_sums, on the
+survival side only; a row of at most empirical._CHUNK_VALUES + 1 values is
+one leaf of the kernel's tree.
 
 The test uses only the order of T: a critical value is the
 ceil(level * B)-th smallest T, a power the share of T below a critical
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, Exponential
-from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _log_gap_sum
+from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _head, _log_gap_sum
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -225,7 +227,9 @@ def _replicate(
         hi = min(lo + rows, stop)
         x = d._sample_streams(cfg.seed, _streams(tag, n, np.arange(lo, hi)), n)
         x.sort(axis=1)
-        totals[lo - start : hi - start] = _gap_sums(x, cfg.order.gamma, True, full)
+        totals[lo - start : hi - start] = _gap_sums(x, cfg.order.gamma, (True,))[0]  # the survival side only
+        if full:
+            totals[lo - start : hi - start] += _head(x)
         x.mean(axis=1, out=means[lo - start : hi - start])
         del x  # before the next block's draw, not after it
     return (totals, means, *_distances(totals, means, cfg.order))

@@ -487,9 +487,12 @@ def test_seed_env_variable_malformed_is_usage_error(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    import gwentropy
+
+    src = str(Path(gwentropy.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "gwentropy", "entropy", "--dist", "exp(1)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     if proc.returncode != 0:
         # fall back to the installed script if module execution is unavailable

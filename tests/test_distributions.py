@@ -319,6 +319,27 @@ def test_hazard_reverse_hazard_domains():
     assert u.reverse_hazard(0.25) == pytest.approx(1.0 / 0.25)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(d, id=type(d).__name__) for d in ALL_FAMILIES]
+    + [
+        pytest.param(ProportionalHazards(Weibull(1.8), 0.7), id="ph-weibull"),
+        pytest.param(ProportionalHazards(Exponential(1.3), 2.0), id="ph-exponential"),
+        pytest.param(ProportionalReverseHazards(Pareto(4.5, 0.8), 1.5), id="prh-pareto"),
+        pytest.param(ProportionalReverseHazards(Uniform(0.4, 2.1), 0.6), id="prh-uniform"),
+        pytest.param(Affine(Gamma(2.6), 1.5, 0.3), id="affine-gamma"),
+        pytest.param(Affine(Power(1.7, 2.2), 0.5), id="affine-power"),
+    ],
+)
+def test_hazard_and_reverse_hazard_reject_nan(d):
+    # Weibull, Gamma and Pareto send NaN to the support bottom in sf and cdf;
+    # the scalar rates raise for every family and wrapper instead
+    with pytest.raises(GwentropyError, match="^hazard undefined at t=nan$"):
+        d.hazard(math.nan)
+    with pytest.raises(GwentropyError, match="^reverse hazard undefined at t=nan$"):
+        d.reverse_hazard(math.nan)
+
+
 # ---------- transformation wrappers ----------
 
 

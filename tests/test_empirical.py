@@ -24,7 +24,7 @@ from gwentropy import (
 )
 from gwentropy import empirical
 from gwentropy.distributions import Exponential, SeededSampler, Uniform
-from gwentropy.empirical import _BLOCK_VALUES, _CHUNK_VALUES, _gap_sums
+from gwentropy.empirical import _BLOCK_VALUES, _CHUNK_VALUES, _gap_sums, _head
 from gwentropy.errors import DegenerateSampleError, GwentropyError
 
 ORD = EntropyOrder(0.26, 1.25)
@@ -132,13 +132,19 @@ def _sorted_exponential(shape, stream):
 _SIDES = [(survival, head) for survival in (True, False) for head in (False, True)]
 
 
+def _one_side(x, gamma, survival, include_head):
+    """One side of the kernel's two-side pass, plus the head as a Sample adds it."""
+    total = _gap_sums(x, gamma, (True, False))[0 if survival else 1]
+    return total + _head(x) if include_head else total
+
+
 @pytest.mark.parametrize("gaps", [1, 2, _CHUNK_VALUES - 1, _CHUNK_VALUES, _CHUNK_VALUES + 1, 2 * _CHUNK_VALUES + 1, 10**6 + 2])
 def test_gap_sums_match_whole_array_formula(gaps):
     # chunk edges fall on, before and after the last gap; the sums must keep every bit
     x = _sorted_exponential(gaps + 1, gaps)
     for gamma in (ORD.gamma, 2.0):
         for survival, head in _SIDES:
-            assert _gap_sums(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
+            assert _one_side(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
 
 
 @pytest.mark.parametrize("shape", [(_BLOCK_VALUES // 4, 4), (_BLOCK_VALUES // 20, 20), (_BLOCK_VALUES // 100, 100), (1, _CHUNK_VALUES + 7)])
@@ -146,7 +152,7 @@ def test_gap_sums_match_whole_array_formula_row_wise(shape):
     # blocks shaped as the replication engine passes them, and one row wider than a chunk
     x = _sorted_exponential(shape, shape[1])
     for survival, head in _SIDES:
-        np.testing.assert_array_equal(_gap_sums(x, ORD.gamma, survival, head), _gap_sums_reference(x, ORD.gamma, survival, head))
+        np.testing.assert_array_equal(_one_side(x, ORD.gamma, survival, head), _gap_sums_reference(x, ORD.gamma, survival, head))
 
 
 @given(gamma=st.floats(1e-3, 20.0), n=st.integers(2, 3 * _CHUNK_VALUES), survival=st.booleans(), head=st.booleans())
@@ -154,7 +160,28 @@ def test_gap_sums_match_whole_array_formula_row_wise(shape):
 @example(gamma=1.0, n=2 * _CHUNK_VALUES + 1, survival=False, head=True)
 def test_gap_sums_match_whole_array_formula_drawn(gamma, n, survival, head):
     x = _sorted_exponential(n, 7)
-    assert _gap_sums(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
+    assert _one_side(x, gamma, survival, head) == _gap_sums_reference(x, gamma, survival, head)
+
+
+@given(gamma=st.floats(1e-3, 20.0), n=st.integers(2, 3 * _CHUNK_VALUES), rows=st.integers(1, 3))
+# the leaf and split edges of the pairwise tree, as n = gaps + 1: one leaf a
+# gap short of a chunk, two leaves, three, 3 * _CHUNK_VALUES + 17 gaps (top
+# split at 24 584, not a multiple of the chunk), and 10**6 + 2 gaps
+@example(gamma=ORD.gamma, n=_CHUNK_VALUES, rows=1)
+@example(gamma=ORD.gamma, n=_CHUNK_VALUES + 2, rows=1)
+@example(gamma=2.0, n=2 * _CHUNK_VALUES + 2, rows=3)
+@example(gamma=ORD.gamma, n=3 * _CHUNK_VALUES + 18, rows=2)
+@example(gamma=ORD.gamma, n=10**6 + 3, rows=1)
+# the replication engine's blocks
+@example(gamma=ORD.gamma, n=4, rows=_BLOCK_VALUES // 4)
+@example(gamma=ORD.gamma, n=20, rows=_BLOCK_VALUES // 20)
+@example(gamma=ORD.gamma, n=100, rows=_BLOCK_VALUES // 100)
+def test_one_pass_keeps_the_bits_of_each_side(gamma, n, rows):
+    # one sample, and rows of samples as the replication engine passes them
+    for x in (_sorted_exponential(n, 9), _sorted_exponential((rows, n), 9)):
+        surv, fail = _gap_sums(x, gamma, (True, False))
+        np.testing.assert_array_equal(surv, _gap_sums_reference(x, gamma, True, False), strict=True)
+        np.testing.assert_array_equal(fail, _gap_sums_reference(x, gamma, False, False), strict=True)
 
 
 @pytest.mark.parametrize(
@@ -162,9 +189,10 @@ def test_gap_sums_match_whole_array_formula_drawn(gamma, n, survival, head):
     [lambda s: empirical_gwse(s, ORD), lambda s: empirical_gwfe(s, ORD), lambda s: statistic(s, ORD)],
     ids=["empirical_gwse", "empirical_gwfe", "statistic"],
 )
-def test_estimator_peak_memory_is_about_one_sample(estimate):
-    # the kernel holds one array of n - 1 terms; everything else is chunk-sized.
-    # A Sample keeps its gap sums, so the traced call is a fresh sample's first
+def test_estimator_peak_memory_does_not_grow_with_n(estimate):
+    # the kernel holds a few chunk-sized buffers and no array of the n - 1
+    # terms: about 0.5 MiB at any n.  A Sample keeps its gap sums, so the
+    # traced call is a fresh sample's first
     n = 10**6
     x = SeededSampler(5, 0).generator().exponential(size=n)
     estimate(Sample(x))  # a first call outside the trace: lazy imports and caches
@@ -175,7 +203,7 @@ def test_estimator_peak_memory_is_about_one_sample(estimate):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * 8
+    assert peak <= 2**20
 
 
 # ---------- kept gap sums ----------
@@ -193,28 +221,33 @@ def _kernel_runs(monkeypatch) -> list:
     return runs
 
 
-def test_estimate_then_test_runs_the_kernel_once_per_side(monkeypatch):
+def test_estimate_then_test_runs_the_kernel_once_per_sample_and_gamma(monkeypatch):
     runs = _kernel_runs(monkeypatch)
     s = Sample(SeededSampler(2, 0).generator().exponential(size=50))
-    surv, fail, stat = empirical_gwse(s, ORD), empirical_gwfe(s, ORD), statistic(s, ORD)
-    assert runs == [(ORD.gamma, True, False), (ORD.gamma, False, False)]
-    assert stat.estimate == surv and fail != surv
-    # a repeated statistic or test reads the kept sum
+    stats = {}
+    for variant in EstimatorVariant:
+        surv, fail, stats[variant] = empirical_gwse(s, ORD, variant), empirical_gwfe(s, ORD, variant), statistic(s, ORD, variant)
+        assert stats[variant].estimate == surv and fail != surv
+    # the first request forms both sides in one pass; the rest read the kept sums
+    assert runs == [(ORD.gamma, (True, False))]
     table = CriticalTable(ORD, (0.05,), {50: (0.5,)}, 100, 0, EstimatorVariant.GAPS_ONLY)
-    assert statistic(s, ORD) == stat
-    assert run_test(s, TestConfig(order=ORD), table).statistic == stat
-    assert len(runs) == 2
+    assert statistic(s, ORD) == stats[EstimatorVariant.GAPS_ONLY]
+    assert run_test(s, TestConfig(order=ORD), table).statistic == stats[EstimatorVariant.GAPS_ONLY]
+    assert len(runs) == 1
 
 
-def test_kept_sums_are_keyed_by_gamma_side_and_head():
+def test_kept_sums_are_keyed_by_gamma():
     s = Sample([0.5, 1.0, 3.0])
     for variant in EstimatorVariant:
         empirical_gwse(s, ORD, variant)
         empirical_gwfe(s, ORD, variant)
-    # FULL_STEP and GAPS_ONLY keep one survival sum each and share the failure sum
-    assert sorted(s._sums) == [(ORD.gamma, False, False), (ORD.gamma, True, False), (ORD.gamma, True, True)]
-    empirical_gwse(s, EntropyOrder(0.5, 1.25))
-    assert len(s._sums) == 4
+    # one pair of sums (survival, failure) per gamma serves both variants;
+    # FULL_STEP adds the head on read
+    assert list(s._sums) == [ORD.gamma]
+    assert s._gap_sum(ORD.gamma, True, True) == s._sums[ORD.gamma][0] + 0.5 * 0.5 / 2.0
+    other = EntropyOrder(0.5, 1.25)
+    empirical_gwse(s, other)
+    assert list(s._sums) == [ORD.gamma, other.gamma]
 
 
 def test_scaled_sample_starts_with_no_kept_sums():

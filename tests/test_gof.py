@@ -405,6 +405,23 @@ def test_replication_engine_matches_one_stream_at_a_time(d, variant, n, start, s
     assert _t_rows(totals, means, cfg.order, np.arange(stop - start)) == [st.t_value for st in expected]
 
 
+def test_replication_engine_forms_the_survival_side_only(monkeypatch):
+    from gwentropy import gof
+
+    sides, kernel = [], gof._gap_sums
+
+    def counted(x, gamma, wanted):
+        sides.append(wanted)
+        return kernel(x, gamma, wanted)
+
+    monkeypatch.setattr(gof, "_gap_sums", counted)
+    for variant in EstimatorVariant:
+        cfg = TestConfig(replications=200, seed=4, variant=variant)
+        table = critical_values([5, 20], cfg=cfg)
+        power_study(Weibull(2.0), [20], cfg=cfg, table=table)
+    assert sides and set(sides) == {(True,)}
+
+
 @pytest.mark.parametrize(
     "d,n,bound_mb",
     [(Exponential(1.0), 4, 1.5), (Exponential(1.0), 5, 1.5), (Exponential(1.0), 20, 1.5), (Exponential(1.0), 100, 1.5),
