@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ziggurat
+from . import _random
 from ._quad import failure_integral, survival_integral
+from ._random import SeededSampler
 from .errors import DivergenceError, GwentropyError
 
 __all__ = [
@@ -175,12 +175,10 @@ class Distribution:
 
     def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
         """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
-        bit for bit: one array Philox block put through _quantile (Gamma runs
-        its rejection rounds on every row at once, in one workspace; Affine
-        delegates to its base).  The replication engine draws here, a block
-        at a time; empirical.sample draws the same values, sorted, through
-        sample_values."""
-        return np.asarray(self._quantile(_philox_uniforms(seed, streams, n)), dtype=float)
+        bit for bit, from _random's rows of uniforms (or, for Gamma, of Gamma
+        draws).  The replication engine draws here, a block at a time;
+        empirical.sample draws the same values, sorted, through sample_values."""
+        return np.asarray(self._quantile(_random.uniforms(seed, streams, n)), dtype=float)
 
 
 class _HazardForm(Distribution):
@@ -479,16 +477,10 @@ class Gamma(Distribution):
         return x[()]
 
     def sample_values(self, n, rng):
-        out = np.empty((1, n))
-        _gamma_rounds(self.shape, _GeneratorWords(rng), out)
-        return out[0]
+        return _random.gamma_row(self.shape, n, rng)
 
     def _sample_streams(self, seed, streams, n):
-        first = (3 if self.shape < 1.0 else 2) * n  # the words of a row's boost block and first round
-        words = _WordBuffer(seed, streams, first + int(first * _GAMMA_SPARE) + 4)
-        out = np.empty((streams.size, n))  # after the words: the Philox rounds' buffers are gone by now
-        _gamma_rounds(self.shape, words, out)
-        return out
+        return _random.gammas(self.shape, seed, streams, n)
 
 
 _TINY = 1e-300
@@ -673,378 +665,6 @@ def _split_inverse(log_q, near, far):
     x[near_side] = near(log_q[near_side])
     x[~near_side] = far(-np.expm1(log_q[~near_side]))
     return x[()]
-
-
-# ---------- sampling ----------
-
-
-@dataclass(frozen=True)
-class SeededSampler:
-    """Counter-based random source keyed by (seed, stream).
-
-    Distinct streams under one seed are statistically independent, and a
-    stream's output never depends on how many other streams exist, so any
-    replication layout reproduces bit for bit.
-    """
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and word order
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhi(a: int, b: np.ndarray, hi: np.ndarray, scratch: list) -> np.ndarray:
-    """The high word of the 128-bit product a * b, from 32-bit halves, into
-    hi and returned, with three buffers of b's shape as scratch."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, low, low_mid = scratch
-    np.multiply(a_hi, np.bitwise_and(b, _LO32, out=b_lo), out=hi)
-    hi += np.right_shift(np.multiply(a_lo, b_lo, out=low), _S32, out=low)  # mid; no partial sum here exceeds 2**64 - 1
-    b_hi = np.right_shift(b, _S32, out=b_lo)
-    np.add(np.multiply(a_lo, b_hi, out=low_mid), np.bitwise_and(hi, _LO32, out=low), out=low_mid)
-    hi >>= _S32
-    hi += np.multiply(a_hi, b_hi, out=b_hi)
-    hi += np.right_shift(low_mid, _S32, out=low_mid)
-    return hi
-
-
-def _philox_words(seed: int, streams: np.ndarray, first_block, blocks: int) -> np.ndarray:
-    """The 4 * blocks words of each row's Philox stream from counter first_block
-    on (an int, or one per row), as SeededSampler(seed, streams[i]).generator()
-    emits them: for counters 1, 2, ..., the four words of each ten-round block.
-
-    The counter enters with c1 = c2 = c3 = 0, so round 1 multiplies only the
-    counters, of shape (1 or rows, blocks), and leaves c0 = k0 and c1 = 0;
-    round 2's c0 product is then one Python-int multiply.  The rounds run in
-    place in eight (rows, blocks) buffers of one allocation: the state, a
-    high word and the scratch of _mulhi.  One allocation of that size also
-    keeps glibc from trimming the heap under an engine block's temporaries,
-    which then faulted their pages back in at every block."""
-    rows, mask = streams.size, 0xFFFFFFFFFFFFFFFF
-    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
-    counters = np.asarray(first_block, dtype=np.uint64).reshape(-1, 1) + np.arange(blocks, dtype=np.uint64)
-    k0, k1 = seed & mask, streams.astype(np.uint64).reshape(rows, 1)
-    c0, c1, c2, c3, hi, *scratch = np.empty((8, rows, blocks), dtype=np.uint64)
-    m = len(counters)  # 1 or rows
-    np.bitwise_xor(_mulhi(_PHILOX_M[0], counters, hi[:m], [t[:m] for t in scratch]), k1, out=c2)
-    lo0 = counters * m0
-    p0 = _PHILOX_M[0] * k0
-    # Weyl key bump; uint64 arrays wrap, Python ints are masked
-    k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
-    np.bitwise_xor(_mulhi(_PHILOX_M[1], c2, c0, scratch), np.uint64(k0), out=c0)
-    np.multiply(c2, m1, out=c1)
-    np.bitwise_xor(lo0 ^ np.uint64(p0 >> 64), k1, out=c2)
-    c3.fill(p0 & mask)
-    for _ in range(8):
-        k0, k1 = (k0 + _PHILOX_W[0]) & mask, k1 + np.uint64(_PHILOX_W[1])
-        # c2' goes to hi, and c0' to c0's buffer once c3' = lo(M0 * c0) is taken
-        np.bitwise_xor(_mulhi(_PHILOX_M[0], c0, hi, scratch), c3, out=hi)
-        hi ^= k1
-        np.multiply(c0, m0, out=c3)
-        np.bitwise_xor(_mulhi(_PHILOX_M[1], c2, c0, scratch), c1, out=c0)
-        c0 ^= np.uint64(k0)
-        np.multiply(c2, m1, out=c1)
-        c2, hi = hi, c2
-    del k1  # one word per row, dead from here: not beside the words, the engine's traced peak
-    words = np.empty((rows, blocks, 4), dtype=np.uint64)
-    words[..., 0], words[..., 1], words[..., 2], words[..., 3] = c0, c1, c2, c3
-    return words.reshape(rows, 4 * blocks)
-
-
-def _doubles(words: np.ndarray) -> np.ndarray:
-    """numpy's next_double: the top 53 bits of each word, times 2**-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _philox_uniforms(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """Row i is SeededSampler(seed, streams[i]).generator().random(n), bit for bit."""
-    return _doubles(_philox_words(seed, streams, 1, -(-n // 4))[:, :n])
-
-
-# numpy's ziggurat normal (random_standard_normal): a word w gives the layer
-# idx = w & 0xFF, the sign bit 8 and rabs = the 52 bits above it; rabs < KI[idx]
-# (about 99.3% of words) returns +-rabs * WI[idx] at once, anything else is
-# the slow path of _slow_normals
-_KI = np.array(_ziggurat.KI, dtype=np.uint64)
-_WI = np.array(_ziggurat.WI_BITS, dtype=np.uint64).view(np.float64)
-_FI = np.array(_ziggurat.FI_BITS, dtype=np.uint64).view(np.float64)
-_RABS = np.uint64(0x000FFFFFFFFFFFFF)
-_LAYER = np.uint64(0xFF)
-_SIGN = np.uint64(0x100)
-_ROW_KEY = 1 << 40  # a slow word's key is row * _ROW_KEY + column
-_NO_KEY = np.iinfo(np.int64).max
-_SCAN_WORDS = 16384  # words per step of _slow_keys
-
-
-def _fast_normals(w: np.ndarray, out: np.ndarray, layer: np.ndarray) -> np.ndarray:
-    """The fast-path normal of each word of w, +-rabs * WI[idx], into out and
-    returned; w and layer, an int64 array of w's size, are overwritten."""
-    np.bitwise_and(w, _LAYER, out=layer.view(np.uint64))
-    _WI.take(layer, out=out, mode="clip")
-    negative = np.bitwise_and(w, _SIGN, out=layer.view(np.uint64)).astype(bool)
-    np.right_shift(w, np.uint64(9), out=w)
-    w &= _RABS
-    np.multiply(w, out, out=out)  # rabs as a double, times WI[idx]
-    return np.negative(out, out=out, where=negative)
-
-
-def _slow_keys(rows: np.ndarray, start: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Keys of the words of row block `words` (row i of it is row rows[i],
-    from column start[i] on) that miss the ziggurat's fast path, scanned a
-    few rows at a time so no temporary is the size of the block."""
-    keys = []
-    step = max(1, _SCAN_WORDS // words.shape[1])
-    for lo in range(0, rows.size, step):
-        part = words[lo : lo + step]
-        layer = (part & _LAYER).view(np.intp)  # take would copy uint64 indices to intp
-        r, c = np.nonzero(((part >> np.uint64(9)) & _RABS) >= _KI.take(layer))
-        keys.append(rows[lo + r] * _ROW_KEY + start[lo + r] + c)
-    return np.concatenate(keys)
-
-
-def _buffers(k: np.ndarray, out, scratch) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """out and the (int64, uint64) scratch pair for k.sum() values, new where not given."""
-    size = int(k.sum())
-    if scratch is None:
-        scratch = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint64))
-    return (np.empty(size) if out is None else out), scratch
-
-
-class _WordBuffer:
-    """Each row's Philox words from the start of its stream, grown row by row
-    where it stopped when a row asks for more, and the sorted keys of the
-    words that miss the ziggurat's fast path.
-
-    doubles and normals write into a given out and gather their words through
-    a given scratch pair (_gamma_rounds' workspace), or into new arrays."""
-
-    def __init__(self, seed: int, streams: np.ndarray, width: int):
-        rows, blocks = streams.size, -(-width // 4)
-        self.seed, self.streams = seed, streams
-        self.words = _philox_words(seed, streams, 1, blocks)
-        self.have = np.full(rows, 4 * blocks)
-        self.slow = np.append(_slow_keys(np.arange(rows), np.zeros(rows, dtype=np.int64), self.words), _NO_KEY)
-
-    def reserve(self, rows: np.ndarray, upto: np.ndarray) -> None:
-        """Make words [0, upto[i]) of row rows[i] readable."""
-        short = upto > self.have[rows]
-        if not short.any():
-            return
-        rows, start = rows[short], self.have[rows[short]]
-        blocks = -(-int((upto[short] - start).max()) // 4)
-        chunk = _philox_words(self.seed, self.streams[rows], start // 4 + 1, blocks)
-        grow = int(start.max()) + 4 * blocks - self.words.shape[1]
-        if grow > 0:
-            self.words = np.pad(self.words, ((0, 0), (0, grow)))
-        self.words[rows[:, None], start[:, None] + np.arange(4 * blocks)] = chunk
-        self.have[rows] = start + 4 * blocks
-        self.slow = np.sort(np.concatenate((self.slow, _slow_keys(rows, start, chunk))))
-
-    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Word cols[i] of row rows[i]."""
-        return self.words.take(rows * self.words.shape[1] + cols)
-
-    def _gather(self, rows, pos, k, idx, w, skips=None) -> np.ndarray:
-        """Into w, one word for each of k[i] > 0 outputs of row rows[i],
-        flattened row by row: consecutive words from pos[i] on, but where skips
-        (a row's place in rows, an output, the extra words before it) adds
-        some.  idx, as long, holds the flat word indices: a running sum of
-        steps of 1, the skips, and at each row's first output the jump from
-        the previous row's last word."""
-        first = rows * self.words.shape[1] + pos
-        last = first + (k - 1)
-        starts = np.cumsum(k) - k
-        idx, w = idx[: starts[-1] + k[-1]], w[: starts[-1] + k[-1]]
-        idx.fill(1)
-        if skips is not None:
-            np.add.at(last, skips[0], skips[2])
-        first[1:] -= last[:-1]
-        idx[starts] = first
-        if skips is not None:
-            np.add.at(idx, skips[1], skips[2])
-        return self.words.take(np.cumsum(idx, out=idx), out=w, mode="clip")
-
-    def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """k[i] > 0 doubles of row rows[i] from word pos[i] on, flattened row by row."""
-        self.reserve(rows, pos + k)
-        out, (idx, w) = _buffers(k, out, scratch)
-        w = np.right_shift(self._gather(rows, pos, k, idx, w), np.uint64(11), out=w)
-        return np.multiply(w, 2.0**-53, out=out)  # numpy's next_double, as _doubles
-
-    def normals(
-        self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out=None, scratch=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """k[i] > 0 standard normals of row rows[i] from word pos[i] on, as
-        numpy's Generator.standard_normal draws them, flattened row by row;
-        and the word position after each row's last one.
-
-        Each row's normals are fast-path words between slow words; the slow
-        words are taken in increasing word order, all rows at once, and then
-        every normal's word is gathered in one pass, a slow word's normal
-        replaced afterwards.
-        """
-        out, (idx, w) = _buffers(k, out, scratch)
-        end = np.cumsum(k)
-        dst, p = end - k, pos.copy()
-        skips, slow = [], []  # (row place, output, extra words before it); (output, normal)
-        live = np.arange(rows.size)
-        while live.size:
-            need = end[live] - dst[live]
-            self.reserve(rows[live], p[live] + need)
-            key = rows[live] * _ROW_KEY + p[live]
-            run = np.subtract(self.slow[np.searchsorted(self.slow, key)], key, out=key)  # to the next slow word
-            hit = run < need
-            np.minimum(run, need, out=run)
-            p[live] += run
-            dst[live] += run
-            live = live[hit]
-            if live.size:
-                made, value, used = self._slow_normals(rows[live], p[live])
-                slow.append((dst[live[made]], value[made]))
-                # the next output's word is `used` on, less the one a normal made here takes
-                skips.append((live, dst[live] + made, used - made))
-                dst[live] += made
-                p[live] += used
-                live = live[dst[live] < end[live]]
-        if skips:
-            row, at, extra = (np.concatenate(col) for col in zip(*skips))
-            inside = at < end[row]  # a skip after a row's last normal moves no word of it
-            skips = row[inside], at[inside], extra[inside]
-        _fast_normals(self._gather(rows, pos, k, idx, w, skips or None), out, idx[: out.size])
-        for at, value in slow:
-            out[at] = value
-        return out, p
-
-    def _slow_normals(self, rows: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The slow path of the ziggurat word at pos[i] of row rows[i]: whether
-        it makes a normal, the normal, and the words it reads.
-
-        exp and log1p come from math, the libm functions numpy's C calls.
-        """
-        self.reserve(rows, pos + 2)
-        w = self.at(rows, pos)
-        idx = (w & _LAYER).astype(np.intp)
-        rabs = (w >> np.uint64(9)) & _RABS
-        x = _fast_normals(w, np.empty(w.size), np.empty(w.size, dtype=np.int64))
-        # the wedge of layer idx > 0: one double against the density
-        u = _doubles(self.at(rows, pos + 1))
-        density = np.array([math.exp(e) for e in (-0.5 * x * x).tolist()])
-        made = (_FI[idx - 1] - _FI[idx]) * u + _FI[idx] < density
-        used = np.full(rows.size, 2)
-        # the tail beyond R of layer 0: pairs of doubles until one is accepted
-        tail = np.flatnonzero(idx == 0)
-        made[tail], used[tail] = True, 1
-        while tail.size:
-            at = pos[tail] + used[tail]
-            self.reserve(rows[tail], at + 2)
-            a = _doubles(self.at(rows[tail], at)).tolist()
-            b = _doubles(self.at(rows[tail], at + 1)).tolist()
-            xx = np.array([-_ziggurat.INV_R * math.log1p(-v) for v in a])
-            yy = np.array([-math.log1p(-v) for v in b])
-            ok = yy + yy > xx * xx
-            beyond = _ziggurat.R + xx[ok]
-            # the sign is bit 8 of rabs, not the word's sign bit
-            x[tail[ok]] = np.where((rabs[tail[ok]] >> np.uint64(8)) & np.uint64(1), -beyond, beyond)
-            used[tail] += 2
-            tail = tail[~ok]
-        return made, x, used
-
-
-class _GeneratorWords:
-    """_gamma_rounds' one row of words, drawn from a Generator as asked for."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def doubles(self, rows, pos, k, out, scratch):
-        return self.rng.random(out=out)
-
-    def normals(self, rows, pos, k, out, scratch):
-        return self.rng.standard_normal(out=out), pos
-
-
-# spare words in a row's first buffer, as a share of its boost block and first
-# round: later rounds and slow ziggurat words mostly fit in them, and a row
-# that reads past them is extended where it stopped
-_GAMMA_SPARE = 0.125
-
-
-def _gamma_rounds(shape: float, words, out: np.ndarray) -> None:
-    """Fill the C-order (rows, n) out with Gamma(shape, 1) draws by the
-    squeeze-free Marsaglia-Tsang method, row i from row i of words (a
-    _WordBuffer, or _GeneratorWords on one Generator).  Vectorized rejection
-    in rounds: each reads a row's normals, then its doubles, one of each per
-    value the row lacks, so a row is a pure function of its own words.
-
-    The rounds' per-value arrays are rows of one workspace, written in place:
-    the normals z, the doubles u, an int64 and a uint64 row through which a
-    _WordBuffer gathers its words and which then hold v = (1 + c z)**3 and the
-    accept test's sums, and for shape < 1 the boost block.  The first round
-    draws for every value, so it needs no index array and takes out itself
-    as scratch; later ones draw for the few values still missing."""
-    rows, n = out.shape
-    boosted = shape < 1.0
-    work = np.empty((5 if boosted else 4, rows * n))
-    idx, w = work[2].view(np.int64), work[3].view(np.uint64)  # v's and a's rows
-    flat = out.reshape(-1)  # a view, out being C-order
-    pos = np.zeros(rows, dtype=np.int64)
-    q = shape
-    if boosted:
-        # Gamma(q) = Gamma(q + 1) * U ** (1/q); consume the boost block first
-        boost = words.doubles(np.arange(rows), pos, np.full(rows, n), work[4], (idx, w))
-        boost **= 1.0 / q
-        pos += n
-        q = q + 1.0
-    d = q - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    todo = None  # every value in the first round, then the indices still to draw
-    while todo is None or todo.size:
-        if todo is None:
-            live, k = np.arange(rows), np.full(rows, n)
-        else:
-            k = np.bincount(todo // n, minlength=rows)
-            live = np.flatnonzero(k)
-            k = k[live]
-        m = k.sum()
-        z, u, v, a = work[:4, :m]
-        scratch = (idx[:m], w[:m])
-        pos[live] = words.normals(live, pos[live], k, z, scratch)[1]
-        words.doubles(live, pos[live], k, u, scratch)
-        pos[live] += k
-        # accept v = (1 + c z)**3 > 0 where log u < z * z / 2 + d (1 - v + log v)
-        np.multiply(z, c, out=v)
-        v += 1.0
-        v **= 3
-        ok = v > 0.0
-        v[~ok] = 1.0
-        np.multiply(z, 0.5, out=a)
-        a *= z
-        np.subtract(1.0, v, out=z)
-        z += np.log(v, out=flat if todo is None else None)
-        z *= d
-        a += z
-        accept = np.less(np.log(u, out=u), a)
-        accept &= ok
-        if todo is None:
-            np.multiply(v, d, out=flat)  # where rejected, a later round writes over it
-            todo = np.flatnonzero(~accept)
-        else:
-            flat[todo[accept]] = d * v[accept]
-            todo = todo[~accept]
-    if boosted:
-        flat *= boost
 
 
 def _checked_unit(u):

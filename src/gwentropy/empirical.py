@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution, SeededSampler
+from ._random import SeededSampler
+from .distributions import Distribution
 from .entropy import EntropyOrder
 from .errors import DegenerateSampleError, GwentropyError
 

@@ -13,22 +13,13 @@ values depend only on (order, n) and are simulated at unit rate.
 
 One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
-Replication r at size n draws from SeededSampler(seed, (tag << 56) |
-(n << 32) | r), so every replication is a pure function of (seed, tag, n, r).
-_replicate takes the replications in blocks of about
-empirical._BLOCK_VALUES = 32 768 values (rows x n), twice the kernel's
-chunk, which bounds its memory at any n and B, and draws each row with the
-bits of its stream sampled on its own, from an array Philox
-(Distribution._sample_streams, the values empirical.sample draws too):
-inversion families (and the PH, PRH and Affine wrappers over them) put one
-block of uniforms through _quantile, and Gamma (and Affine over it) runs its
-one set of rejection rounds, distributions._gamma_rounds, on every row of
-the block at once, with ziggurat normals read from the same words and the
-rounds' per-value arrays in one workspace of four arrays of the block's
-values.  A block is sorted and reduced row-wise by the kernel shared with
-statistic and the empirical estimators, empirical._gap_sums, on the
-survival side only; a row of at most empirical._CHUNK_VALUES + 1 values is
-one leaf of the kernel's tree.
+Replication r at size n draws from the stream _random.stream_words(tag, n, r),
+so every replication is a pure function of (seed, tag, n, r).  _replicate
+takes the replications in blocks of about empirical._BLOCK_VALUES = 32 768
+values (rows x n), which bounds its memory at any n and B, draws each block
+with Distribution._sample_streams (the values empirical.sample draws too),
+and reduces it row-wise by the kernel shared with statistic and the
+empirical estimators, empirical._gap_sums, on the survival side only.
 
 The test uses only the order of T: a critical value is the
 ceil(level * B)-th smallest T, a power the share of T below a critical
@@ -56,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _random
 from .distributions import Distribution, Exponential
 from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _head, _log_gap_sum
 from .entropy import EntropyOrder
@@ -187,11 +179,6 @@ _BAND = 2.0**-40
 _NORMAL_T_DISTANCE = 700.0
 
 
-def _streams(tag: int, n: int, rows: np.ndarray) -> np.ndarray:
-    """Stream numbers of replications `rows` at size n on tag."""
-    return np.uint64((tag << 56) | (n << 32)) | rows.astype(np.uint64)
-
-
 def _distances(totals: np.ndarray, means: np.ndarray, order: EntropyOrder) -> tuple[np.ndarray, float]:
     """|estimate - plug_in| of each row, with np.log in place of math.log,
     and the scale that bounds their rounding: 1 + 4 |log gamma| / delta plus
@@ -225,7 +212,7 @@ def _replicate(
     totals, means = np.empty(stop - start), np.empty(stop - start)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        x = d._sample_streams(cfg.seed, _streams(tag, n, np.arange(lo, hi)), n)
+        x = d._sample_streams(cfg.seed, _random.stream_words(tag, n, np.arange(lo, hi)), n)
         x.sort(axis=1)
         totals[lo - start : hi - start] = _gap_sums(x, cfg.order.gamma, (True,))[0]  # the survival side only
         if full:

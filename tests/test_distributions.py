@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from gwentropy import EntropyOrder, _ziggurat, distributions
+from gwentropy import EntropyOrder, _random
 from gwentropy.checks import gdwse_derivative
 from gwentropy.distributions import (
     Affine,
@@ -26,12 +26,9 @@ from gwentropy.distributions import (
     SeededSampler,
     Uniform,
     Weibull,
-    _KI,
-    _WordBuffer,
-    _philox_uniforms,
-    _philox_words,
     from_spec,
 )
+from gwentropy._random import _KI, _NOR_R, _WordBuffer, _philox_words
 from gwentropy.empirical import _BLOCK_VALUES, sample
 from gwentropy.errors import DivergenceError, GwentropyError
 
@@ -437,7 +434,7 @@ def test_seeded_sampler_reproducible_and_stream_separated():
 @example(seed=0, streams=[(1 << 56) | (7 << 32)], n=7)
 def test_philox_block_matches_numpy_philox(seed, streams, n):
     # numpy's own Philox is the oracle: row i must be stream i's first n draws
-    u = _philox_uniforms(seed, np.array(streams, dtype=np.uint64), n)
+    u = _random.uniforms(seed, np.array(streams, dtype=np.uint64), n)
     assert u.shape == (len(streams), n)
     for row, stream in zip(u, streams):
         np.testing.assert_array_equal(row, SeededSampler(seed, stream).generator().random(n))
@@ -475,6 +472,12 @@ def test_philox_words_at_the_engine_block_size_match_numpy_philox(n):
         np.testing.assert_array_equal(words[i], bits.random_raw(4 * blocks))
 
 
+def _normals(words: _WordBuffer, rows, pos, k) -> tuple[np.ndarray, np.ndarray]:
+    """words.normals into new arrays: the normals and each row's next word."""
+    size = int(k.sum())
+    return words.normals(rows, pos, k, np.empty(size), (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.uint64)))
+
+
 def _words_drawn(rng: np.random.Generator) -> int:
     """64-bit words a generator's Philox has handed out since it was made."""
     state = rng.bit_generator.state
@@ -493,7 +496,7 @@ def test_ziggurat_normals_match_numpy(seed, streams, n):
     # needs more than four words is extended
     streams = np.array(streams, dtype=np.uint64)
     words = _WordBuffer(seed, streams, 4)
-    z, pos = words.normals(np.arange(streams.size), np.zeros(streams.size, dtype=np.int64), np.full(streams.size, n))
+    z, pos = _normals(words, np.arange(streams.size), np.zeros(streams.size, dtype=np.int64), np.full(streams.size, n))
     for row, end, stream in zip(z.reshape(-1, n), pos.tolist(), streams.tolist()):
         rng = SeededSampler(seed, stream).generator()
         np.testing.assert_array_equal(row, rng.standard_normal(n))
@@ -552,9 +555,9 @@ def test_ziggurat_layer_thresholds_match_numpy(monkeypatch):
         for sign in (0, 1)
     ]
     words = np.array([[w] + [filler] * 15 for w in first], dtype=np.uint64)
-    monkeypatch.setattr(distributions, "_philox_words", lambda seed, streams, first_block, blocks: words)
+    monkeypatch.setattr(_random, "_philox_words", lambda seed, streams, first_block, blocks: words)
     rows = np.arange(len(first))
-    z, pos = _WordBuffer(0, np.zeros(rows.size, dtype=np.uint64), 16).normals(rows, 0 * rows, np.full(rows.size, 2))
+    z, pos = _normals(_WordBuffer(0, np.zeros(rows.size, dtype=np.uint64), 16), rows, 0 * rows, np.full(rows.size, 2))
     for row, end, stream_words in zip(z.reshape(-1, 2), pos.tolist(), words):
         source = _WordSource(stream_words)
         np.testing.assert_array_equal(row, np.random.Generator(source).standard_normal(2))
@@ -574,14 +577,14 @@ def test_ziggurat_slow_paths_are_taken(monkeypatch):
 
     monkeypatch.setattr(_WordBuffer, "_slow_normals", spy)
     streams = np.arange(300, dtype=np.uint64)
-    z, _ = _WordBuffer(7, streams, 4).normals(np.arange(300), np.zeros(300, dtype=np.int64), np.full(300, 500))
+    z, _ = _normals(_WordBuffer(7, streams, 4), np.arange(300), np.zeros(300, dtype=np.int64), np.full(300, 500))
     expected = [SeededSampler(7, s).generator().standard_normal(500) for s in range(300)]
     np.testing.assert_array_equal(z, np.concatenate(expected))
     wedge = {made for idx, made, _ in seen if idx}
     tail = [used for idx, _, used in seen if not idx]
     assert wedge == {True, False}
     assert tail and max(tail) > 3
-    beyond = z[np.abs(z) > _ziggurat.R]
+    beyond = z[np.abs(z) > _NOR_R]
     assert beyond.min() < 0.0 < beyond.max()
 
 
@@ -625,7 +628,7 @@ def _assert_same_position(rng: np.random.Generator, reference: np.random.Generat
 @pytest.mark.parametrize("n,count,spare", [(3, 400, None), (2000, 3, 0.0), (100, 400, None)])
 def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
     # _gamma_rejection above, the rounds written out on one Generator, is the
-    # reference for both word sources of distributions._gamma_rounds: the
+    # reference for both word sources of _random._gamma_rounds: the
     # engine's rows, and Gamma.sample_values, which must also leave its
     # Generator where the reference leaves it, fresh or already used.  With no
     # spare share a row's first buffer holds its boost block, its first round
@@ -637,9 +640,9 @@ def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
         calls.append(args)
         return _philox_words(*args)
 
-    monkeypatch.setattr(distributions, "_philox_words", counted)
+    monkeypatch.setattr(_random, "_philox_words", counted)
     if spare is not None:
-        monkeypatch.setattr(distributions, "_GAMMA_SPARE", spare)
+        monkeypatch.setattr(_random, "_GAMMA_SPARE", spare)
     seed = 2**64 - 59
     streams = np.uint64((2 << 56) | (n << 32)) | np.arange(count, dtype=np.uint64)
     x = Gamma(shape)._sample_streams(seed, streams, n)

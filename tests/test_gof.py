@@ -231,7 +231,7 @@ def test_gamma_power_counts_pinned(alt, n, rejections):
 
 def test_replication_block_survives_zero_draw(monkeypatch):
     # a uniform draw may be exactly 0; it must map to the support bottom
-    from gwentropy import distributions, gof
+    from gwentropy import _random, gof
 
     blocks = []
 
@@ -239,7 +239,7 @@ def test_replication_block_survives_zero_draw(monkeypatch):
         blocks.append(np.tile(np.linspace(0.0, 0.9, n), (streams.size, 1)))
         return blocks[-1]
 
-    monkeypatch.setattr(distributions, "_philox_uniforms", zero_first)
+    monkeypatch.setattr(_random, "uniforms", zero_first)
     totals, means, dist, scale = gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
     assert len(blocks) == 1  # the engine drew its uniforms through the patched block
     assert np.all(np.isfinite(dist)) and math.isfinite(scale)
@@ -251,14 +251,14 @@ def test_replication_block_survives_zero_draw(monkeypatch):
 def test_replication_block_with_zero_gap_sum_raises(monkeypatch, constant_rows):
     # a constant row has no spread: the whole block fails, as a lone sample
     # fails in statistic, rather than giving that row a NaN or 1.0
-    from gwentropy import distributions, gof
+    from gwentropy import _random, gof
 
     def uniforms(seed, streams, n):
         u = np.tile(np.linspace(0.1, 0.9, n), (streams.size, 1))
         u[constant_rows] = 0.5
         return u
 
-    monkeypatch.setattr(distributions, "_philox_uniforms", uniforms)
+    monkeypatch.setattr(_random, "uniforms", uniforms)
     with pytest.raises(DegenerateSampleError):
         gof._replicate(Exponential(1.0), 1, TestConfig(), 8, 0, 3)
 
@@ -333,11 +333,12 @@ def test_cut_matches_sorting_every_exact_t(delta, beta, variant, b, n, alt, tied
     # ranks and counts from the distances and the band against the route that
     # takes statistic's T of every replication's sample and sorts them; with
     # jitter, every engine distance is moved by up to the band's error margin
-    from gwentropy.gof import _counts_below, _ranked, _streams
+    from gwentropy._random import stream_words
+    from gwentropy.gof import _counts_below, _ranked
 
     cfg = TestConfig(order=EntropyOrder(beta - delta, beta), replications=b, seed=seed, variant=variant)
     d = _Tied(alt) if tied else alt
-    rows = d._sample_streams(cfg.seed, _streams(2, n, np.arange(b)), n)
+    rows = d._sample_streams(cfg.seed, stream_words(2, n, np.arange(b)), n)
     t = np.array([statistic(Sample(row), cfg.order, cfg.variant).t_value for row in rows])
     at = [float(t[i % b]) for i in picks]
     cvs = [float(v) for x in at for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))]
