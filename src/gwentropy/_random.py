@@ -16,6 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the stream layout (tag << 56) | (n << 32) | r holds sample sizes
+# n < N_LIMIT and at most B_LIMIT replications: past them the bits of n
+# reach the tag, and those of r reach n
+N_LIMIT = 1 << 24
+B_LIMIT = 1 << 32
 _MASK = (1 << 64) - 1
 
 
@@ -43,7 +48,7 @@ class SeededSampler:
 
 def stream_words(tag: int, n: int, rows: np.ndarray) -> np.ndarray:
     """The engine's stream of each replication r in rows of size n on tag:
-    (tag << 56) | (n << 32) | r."""
+    (tag << 56) | (n << 32) | r, for n < N_LIMIT and r < B_LIMIT."""
     return np.uint64((tag << 56) | (n << 32)) | rows.astype(np.uint64)
 
 

@@ -13,7 +13,8 @@ case-insensitive family name and positional parameters:
     gamma(shape)
 
 Exit status: 0 on success, 2 for usage errors (argparse, malformed
-distribution text, bad ranges, counts below 1), 1 for domain errors
+distribution text, bad ranges, counts below 1, sample sizes of 2**24 or
+more and over 2**32 replications), 1 for domain errors
 (divergent measure, invalid order, degenerate sample, malformed table
 file), in which case a one-line JSON object
 {"error": code, "message": ...} goes to stderr.  Results print as JSON by
@@ -31,6 +32,7 @@ import re
 import sys
 
 from . import __version__
+from ._random import B_LIMIT, N_LIMIT
 from .distributions import from_spec
 from .empirical import EstimatorVariant, Sample
 from .entropy import EntropyOrder, gdwfe, gdwse, gfe, gse, gwfe, gwse
@@ -87,9 +89,12 @@ def _n_values_arg(text: str) -> list[int]:
                     raise ValueError(part)
                 if step < 1 or stop < start:
                     raise ValueError(part)
-                values.update(range(start, stop + 1, step))
             else:
-                values.add(int(part))
+                start = stop = int(part)
+                step = 1
+            if stop >= N_LIMIT:  # before the range is built
+                raise argparse.ArgumentTypeError(f"sample sizes must be below {N_LIMIT}, the stream layout's limit")
+            values.update(range(start, stop + 1, step))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot parse sample sizes {text!r}; use e.g. '4:30,35:50:5,60'"
@@ -129,6 +134,13 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse turns a ValueError into a usage error
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _replications_arg(text: str) -> int:
+    value = _positive_int(text)
+    if value > B_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {B_LIMIT}, the stream layout's limit, got {value}")
     return value
 
 
@@ -373,7 +385,7 @@ def _add_order_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--replications", "-B", type=_positive_int, default=TestConfig.replications, help="Monte-Carlo replications")
+    p.add_argument("--replications", "-B", type=_replications_arg, default=TestConfig.replications, help="Monte-Carlo replications")
     # argparse parses a string default through type, so a malformed GWENTROPY_SEED is a usage error
     p.add_argument(
         "--seed", type=int, default=os.environ.get("GWENTROPY_SEED") or "0",

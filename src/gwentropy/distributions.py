@@ -218,7 +218,8 @@ class Exponential(_HazardForm):
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, -self.rate * x)
+        with np.errstate(over="ignore"):  # -inf where rate * x overflows, and sf = 0
+            return np.where(x < 0.0, 0.0, -self.rate * x)
 
     def _hazard(self, x):
         return np.where(np.asarray(x, dtype=float) < 0.0, 0.0, self.rate)
@@ -372,7 +373,8 @@ class Rayleigh(_HazardForm):
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, -self.rate * x * x)
+        with np.errstate(over="ignore"):  # -inf where rate * x * x overflows, and sf = 0
+            return np.where(x < 0.0, 0.0, -self.rate * x * x)
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)
@@ -404,7 +406,8 @@ class Weibull(_HazardForm):
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return -(np.where(x > 0.0, x, 0.0) ** self.shape)
+        with np.errstate(over="ignore"):  # -inf where x ** shape overflows, and sf = 0
+            return -(np.where(x > 0.0, x, 0.0) ** self.shape)
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)

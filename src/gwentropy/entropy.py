@@ -58,7 +58,8 @@ class EntropyOrder:
     """Order pair (alpha, beta) with beta >= 1 and beta - 1 < alpha < beta.
 
     The constraints make gamma = alpha + beta - 1 positive and keep
-    delta = beta - alpha strictly inside (0, 1).
+    delta = beta - alpha strictly inside (0, 1); an alpha so close to
+    beta - 1 that gamma rounds to 0 is rejected too.
     """
 
     alpha: float
@@ -74,6 +75,8 @@ class EntropyOrder:
             raise GwentropyError(
                 f"alpha must satisfy beta - 1 < alpha < beta, got alpha={a}, beta={b}"
             )
+        if not self.gamma > 0.0:
+            raise GwentropyError(f"gamma = alpha + beta - 1 must be positive, got {self.gamma} from alpha={a}, beta={b}")
 
     @property
     def gamma(self) -> float:

@@ -14,12 +14,14 @@ values depend only on (order, n) and are simulated at unit rate.
 One replication path serves both simulations: the null is the alternative
 Exponential(1) on tag 1, power studies draw from their alternative on tag 2.
 Replication r at size n draws from the stream _random.stream_words(tag, n, r),
-so every replication is a pure function of (seed, tag, n, r).  _replicate
-takes the replications in blocks of about empirical._BLOCK_VALUES = 32 768
-values (rows x n), which bounds its memory at any n and B, draws each block
-with Distribution._sample_streams (the values empirical.sample draws too),
-and reduces it row-wise by the kernel shared with statistic and the
-empirical estimators, empirical._gap_sums, on the survival side only.
+so every replication is a pure function of (seed, tag, n, r).  That layout
+holds sample sizes n < 2**24 and at most 2**32 replications; larger ones
+raise GwentropyError before any draw.  _replicate takes the replications in
+blocks of about empirical._BLOCK_VALUES = 32 768 values (rows x n), which
+bounds its memory at any n and B, draws each block with
+Distribution._sample_streams (the values empirical.sample draws too), and
+reduces it row-wise by the kernel shared with statistic and the empirical
+estimators, empirical._gap_sums, on the survival side only.
 
 The test uses only the order of T: a critical value is the
 ceil(level * B)-th smallest T, a power the share of T below a critical
@@ -89,8 +91,8 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise GwentropyError("level must lie strictly inside (0, 1)")
-        if self.replications < 1:
-            raise GwentropyError("replications must be positive")
+        if not 1 <= self.replications <= _random.B_LIMIT:
+            raise GwentropyError(f"replications must lie in 1..{_random.B_LIMIT}, the stream layout's range")
 
 
 @dataclass(frozen=True)
@@ -258,12 +260,14 @@ def _counts_below(d: Distribution, tag: int, cfg: TestConfig, n: int, cvs) -> li
 
 
 def _sample_sizes(n_values) -> list[int]:
-    """Sorted distinct sample sizes, each at least 2."""
+    """Sorted distinct sample sizes, each at least 2 and below the stream layout's limit."""
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
         raise GwentropyError("n_values must be non-empty")
     if ns[0] < 2:
         raise GwentropyError("sample sizes must be at least 2")
+    if ns[-1] >= _random.N_LIMIT:
+        raise GwentropyError(f"sample sizes must be below {_random.N_LIMIT}, the stream layout's limit")
     return ns
 
 

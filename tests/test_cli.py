@@ -11,7 +11,7 @@ import pytest
 
 from gwentropy import EntropyOrder, CriticalTable, TestConfig, critical_values, gwse, gdwse
 from gwentropy.cli import main
-from gwentropy.distributions import Exponential, SeededSampler, from_spec
+from gwentropy.distributions import Distribution, Exponential, SeededSampler, from_spec
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +298,30 @@ def test_usage_error_level_out_of_range(argv, capsys):
     assert "strictly inside (0, 1)" in capsys.readouterr().err
 
 
+def _no_draw(*args):
+    raise AssertionError("drew past the stream layout's limits")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-table", "--n", "5000000000"],
+        ["critical-table", "--n", "16777216"],
+        ["power", "--alt", "weibull(2)", "--n", "4:16777221:16777217"],
+        ["critical-table", "--n", "5", "-B", "4294967297"],
+        ["gof-test", "--data", "x.txt", "-B", "4294967297"],
+    ],
+)
+def test_usage_error_past_the_stream_layout(argv, capsys, monkeypatch):
+    # n >= 2**24 aliased other streams and n >= 2**32 overflowed the stream
+    # word; B > 2**32 would run r into n.  Nothing may be drawn
+    monkeypatch.setattr(Distribution, "_sample_streams", _no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "stream layout" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "tiny"])
 def test_usage_error_bad_tol(tol, capsys):
     # a tolerance no draw can meet, or every draw meets, is a usage error
@@ -448,6 +472,24 @@ def test_domain_error_invalid_order(capsys):
     code, _, err = run_cli(capsys, "entropy", "--dist", "exp(1)", "--alpha", "2.0", "--beta", "1.25")
     assert code == 1
     assert json.loads(err)["error"] == "domain"
+
+
+def test_domain_error_order_whose_gamma_rounds_to_zero(capsys):
+    # alpha = 5e-324 lies above beta - 1 = 0, but gamma = alpha + beta - 1 is 0.0
+    code, out, err = run_cli(capsys, "critical-table", "--alpha", "5e-324", "--beta", "1", "--n", "5", "-B", "10")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "dist,t", [("exp(3)", "1e308"), ("exp(1e308)", "2"), ("weibull(1e308)", "1.0000001"), ("rayleigh(1)", "1e200")]
+)
+def test_overflowing_log_survival_warns_nothing(dist, t, capsys):
+    # the log survival -H(t) overflows to -inf, the right value, with no
+    # RuntimeWarning before the closed form's domain error
+    code, out, err = run_cli(capsys, "dynamic", "--dist", dist, "--measure", "gdwfe", "--method", "closed", "--t", t)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "domain", "message": "no closed form for this family"}
 
 
 def test_domain_error_degenerate_sample(capsys, tmp_path):

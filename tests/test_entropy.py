@@ -60,6 +60,7 @@ def test_order_accessors():
         (0.2, 0.9),  # beta below one
         (0.1, 1.5),  # alpha <= beta - 1
         (0.5, 1.5),  # boundary alpha == beta - 1
+        (5e-324, 1.0),  # alpha above beta - 1, but gamma rounds to 0
         (math.nan, 1.2),
         (0.5, math.inf),
     ],

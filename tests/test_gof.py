@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gwentropy import (
     DEFAULT_LEVELS,
+    DEFAULT_ORDER,
     CriticalTable,
     EntropyOrder,
     EstimatorVariant,
@@ -40,6 +42,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
+from gwentropy._random import B_LIMIT, N_LIMIT, stream_words
 from gwentropy.empirical import _BLOCK_VALUES
 from gwentropy.errors import DegenerateSampleError, GwentropyError, MissingTableEntryError
 
@@ -181,6 +184,58 @@ def test_critical_values_input_validation():
         critical_values([1], cfg=TestConfig(replications=10))
     with pytest.raises(GwentropyError):
         critical_values([], cfg=TestConfig(replications=10))
+
+
+def _no_draw(*args):
+    raise AssertionError("drew past the stream layout's limits")
+
+
+@pytest.mark.parametrize("n", [2**24, 2**24 + 5, 2**32 + 5])
+def test_sizes_past_the_stream_layout_raise_before_any_draw(monkeypatch, n):
+    # from n = 2**24 on the bits of n reach the tag, and 2**24 + 5 drew the
+    # n = 5 streams; from 2**32 on the stream word overflowed
+    monkeypatch.setattr(Distribution, "_sample_streams", _no_draw)
+    cfg = TestConfig(replications=1)
+    with pytest.raises(GwentropyError, match="stream layout"):
+        critical_values([5, n], cfg=cfg)
+    with pytest.raises(GwentropyError, match="stream layout"):
+        power_study(Weibull(2.0), [5, n], cfg=cfg)
+
+
+def test_replications_past_the_stream_layout_raise():
+    assert TestConfig(replications=B_LIMIT).replications == 2**32
+    with pytest.raises(GwentropyError, match="stream layout"):
+        TestConfig(replications=B_LIMIT + 1)
+
+
+def test_stream_layout_is_one_to_one_inside_its_limits():
+    # the largest n and r fill their bits and stop below the next tag
+    assert N_LIMIT == 2**24
+    assert int(stream_words(1, N_LIMIT - 1, np.array([B_LIMIT - 1]))[0]) == (2 << 56) - 1
+    assert int(stream_words(2, 0, np.array([0]))[0]) == 2 << 56
+
+
+def test_null_law_at_n2_is_exact():
+    # At n = 2 under GAPS_ONLY, T depends only on W = (x2 - x1) / (x2 + x1),
+    # which is Uniform(0, 1) under the null since 2 x1 and x2 - x1 are iid
+    # Exp(1).  The distance is |log(c W)| / delta with c = 2**(1 - gamma) *
+    # gamma**2 < 1 at the default order, so T = (c W)**(1/delta), and
+    # P(T <= v) = v**delta / c.  Each critical value's exact cdf lies within 3
+    # binomial standard errors of its rank's share (a nominal false alarm of
+    # 0.27% each), and c**-1 T**delta over the whole row passes a KS test
+    # against Uniform(0, 1) at 0.1%: about 0.9% in all, at this fixed seed
+    order, b = DEFAULT_ORDER, 200_000
+    cfg = TestConfig(replications=b, seed=7)
+    c = 2.0 ** (1.0 - order.gamma) * order.gamma**2
+    assert c < 1.0
+    table = critical_values([2], cfg=cfg)
+    for level, v in zip(table.levels, table.rows[2]):
+        share = math.ceil(level * b) / b
+        assert abs(v**order.delta / c - share) <= 3.0 * math.sqrt(share * (1.0 - share) / b)
+    from gwentropy.gof import _replicate
+
+    _, _, dist, _ = _replicate(Exponential(1.0), 1, cfg, 2, 0, b)
+    assert stats.kstest(np.exp(-dist) ** order.delta / c, "uniform").pvalue > 1e-3
 
 
 def test_quantile_index_matches_order_statistic():
