@@ -16,6 +16,10 @@ sides in the same pass; its memory beyond the sample is a few chunks at any
 n.  A Sample keeps both sides' totals of each gamma it was asked for and adds
 the head x_(1)**2 / 2 on read, so both estimators, both variants and
 gof.statistic on one sample cost one kernel pass per gamma.
+
+sample draws through the SeededSampler of gwentropy._random, the one owner
+of the package's random draws, and gets, sorted, the values the
+replication engine draws on the same key.
 """
 
 from __future__ import annotations
