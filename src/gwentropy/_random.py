@@ -424,13 +424,12 @@ class _WordBuffer:
         """Into w, one word for each of k[i] > 0 outputs of row rows[i],
         flattened row by row: consecutive words from pos[i] on, but where skips
         (a row's place in rows, an output, the extra words before it) adds
-        some.  idx, as long, holds the flat word indices: a running sum of
-        steps of 1, the skips, and at each row's first output the jump from
-        the previous row's last word."""
+        some.  idx, as long as w (k.sum()), holds the flat word indices: a
+        running sum of steps of 1, the skips, and at each row's first output
+        the jump from the previous row's last word."""
         first = rows * self.words.shape[1] + pos
         last = first + (k - 1)
         starts = np.cumsum(k) - k
-        idx, w = idx[: starts[-1] + k[-1]], w[: starts[-1] + k[-1]]
         idx.fill(1)
         if skips is not None:
             np.add.at(last, skips[0], skips[2])
@@ -482,7 +481,7 @@ class _WordBuffer:
             row, at, extra = (np.concatenate(col) for col in zip(*skips))
             inside = at < end[row]  # a skip after a row's last normal moves no word of it
             skips = row[inside], at[inside], extra[inside]
-        _fast_normals(self._gather(rows, pos, k, idx, w, skips or None), out, idx[: out.size])
+        _fast_normals(self._gather(rows, pos, k, idx, w, skips or None), out, idx)
         for at, value in slow:
             out[at] = value
         return out, p

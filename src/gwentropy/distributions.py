@@ -175,9 +175,8 @@ class Distribution:
 
     def _sample_streams(self, seed: int, streams: np.ndarray, n: int) -> np.ndarray:
         """Row i is sample_values(n, SeededSampler(seed, streams[i]).generator()),
-        bit for bit, from _random's rows of uniforms (or, for Gamma, of Gamma
-        draws).  The replication engine draws here, a block at a time;
-        empirical.sample draws the same values, sorted, through sample_values."""
+        bit for bit: the replication engine's draw of a block of streams, whose
+        values empirical.sample draws, sorted, through sample_values."""
         return np.asarray(self._quantile(_random.uniforms(seed, streams, n)), dtype=float)
 
 
