@@ -14,11 +14,14 @@ case-insensitive family name and positional parameters:
 
 Exit status: 0 on success, 2 for usage errors (argparse, malformed
 distribution text, bad ranges, counts below 1, sample sizes of 2**24 or
-more and over 2**32 replications), 1 for domain errors
-(divergent measure, invalid order, degenerate sample, malformed table
-file), in which case a one-line JSON object
-{"error": code, "message": ...} goes to stderr.  Results print as JSON by
-default; tabular commands also offer csv, scalar ones a readable table.
+more and over 2**32 replications), 1 for domain errors, in which case a
+one-line JSON object {"error": code, "message": ...} goes to stderr.  The
+code is the error class's ``code`` attribute: divergence (a divergent
+measure), degenerate-sample, missing-table-entry (under --no-simulate)
+and domain for the rest (an invalid order, a malformed table file, an
+integral outside the float range).  Results print as JSON by default;
+tabular commands also offer csv, scalar ones a readable table, and verify
+exits 1 when a cell fails.
 The environment variable GWENTROPY_SEED supplies the default simulation
 seed; an explicit --seed wins.
 """
@@ -34,14 +37,9 @@ import sys
 from . import __version__
 from ._random import B_LIMIT, N_LIMIT
 from .distributions import from_spec
-from .empirical import EstimatorVariant, Sample
+from .empirical import EstimatorVariant, Sample, empirical_gwfe, empirical_gwse
 from .entropy import EntropyOrder, gdwfe, gdwse, gfe, gse, gwfe, gwse
-from .errors import (
-    DegenerateSampleError,
-    DivergenceError,
-    GwentropyError,
-    MissingTableEntryError,
-)
+from .errors import GwentropyError
 from .gof import (
     DEFAULT_LEVELS,
     DEFAULT_ORDER,
@@ -57,6 +55,7 @@ __all__ = ["main"]
 
 _MEASURES = {"gwse": gwse, "gwfe": gwfe, "gse": gse, "gfe": gfe}
 _DYNAMIC = {"gdwse": gdwse, "gdwfe": gdwfe}
+_ESTIMATORS = {"gwse": empirical_gwse, "gwfe": empirical_gwfe}
 
 
 # ---------- argument helpers ----------
@@ -178,28 +177,24 @@ def _read_values(path: str, column: str | None) -> list[float]:
         raise GwentropyError(f"non-numeric value in {path}") from exc
 
 
-def _emit(doc, out: str | None = None) -> None:
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------- subcommand handlers ----------
+# Each returns its JSON document and its text for the command's other
+# format; main renders, writes and sets the exit status.
 
 
 def _order_from(args) -> EntropyOrder:
     return EntropyOrder(args.alpha, args.beta)
 
 
-def _cmd_entropy(args) -> int:
+def _config(args, **fields) -> TestConfig:
+    return TestConfig(
+        order=_order_from(args), replications=args.replications, seed=args.seed, variant=args.variant, **fields
+    )
+
+
+def _cmd_entropy(args) -> tuple[dict, str]:
     order = _order_from(args)
-    value = _MEASURES[args.measure](args.dist, order, method=args.method)
+    value = _MEASURES[args.measure](args.dist, order, method=args.method).value
     doc = {
         "measure": args.measure,
         "dist": args.dist.spec_text,
@@ -208,18 +203,14 @@ def _cmd_entropy(args) -> int:
         "gamma": order.gamma,
         "delta": order.delta,
         "method": args.method,
-        "value": value.value,
+        "value": value,
     }
-    if args.format == "table":
-        _write_out(f"{args.measure}({args.dist.spec_text}) = {value.value:.10g}\n", None)
-    else:
-        _emit(doc)
-    return 0
+    return doc, f"{args.measure}({args.dist.spec_text}) = {value:.10g}\n"
 
 
-def _cmd_dynamic(args) -> int:
+def _cmd_dynamic(args) -> tuple[dict, str]:
     order = _order_from(args)
-    value = _DYNAMIC[args.measure](args.dist, order, args.t, method=args.method)
+    value = _DYNAMIC[args.measure](args.dist, order, args.t, method=args.method).value
     doc = {
         "measure": args.measure,
         "dist": args.dist.spec_text,
@@ -227,25 +218,15 @@ def _cmd_dynamic(args) -> int:
         "beta": order.beta,
         "t": args.t,
         "method": args.method,
-        "value": value.value,
+        "value": value,
     }
-    if args.format == "table":
-        _write_out(
-            f"{args.measure}({args.dist.spec_text}; t={args.t:g}) = {value.value:.10g}\n", None
-        )
-    else:
-        _emit(doc)
-    return 0
+    return doc, f"{args.measure}({args.dist.spec_text}; t={args.t:g}) = {value:.10g}\n"
 
 
-def _cmd_empirical(args) -> int:
+def _cmd_empirical(args) -> tuple[dict, str]:
     order = _order_from(args)
     s = Sample(_read_values(args.data, args.column))
-    if args.measure == "gwse":
-        from .empirical import empirical_gwse as est
-    else:
-        from .empirical import empirical_gwfe as est
-    value = est(s, order, args.variant)
+    value = _ESTIMATORS[args.measure](s, order, args.variant)
     doc = {
         "measure": args.measure,
         "n": s.n,
@@ -254,11 +235,7 @@ def _cmd_empirical(args) -> int:
         "variant": args.variant.value,
         "value": value,
     }
-    if args.format == "table":
-        _write_out(f"empirical {args.measure} (n={s.n}) = {value:.10g}\n", None)
-    else:
-        _emit(doc)
-    return 0
+    return doc, f"empirical {args.measure} (n={s.n}) = {value:.10g}\n"
 
 
 def _load_table(path: str | None) -> CriticalTable | None:
@@ -271,14 +248,8 @@ def _load_table(path: str | None) -> CriticalTable | None:
         raise GwentropyError(f"cannot read table {path}: {exc}") from exc
 
 
-def _cmd_gof_test(args) -> int:
-    cfg = TestConfig(
-        order=_order_from(args),
-        level=args.level,
-        replications=args.replications,
-        seed=args.seed,
-        variant=args.variant,
-    )
+def _cmd_gof_test(args) -> tuple[dict, str]:
+    cfg = _config(args, level=args.level)
     s = Sample(_read_values(args.data, args.column))
     outcome = run_test(s, cfg, table=_load_table(args.table), simulate_missing=not args.no_simulate)
     doc = {
@@ -293,87 +264,60 @@ def _cmd_gof_test(args) -> int:
         "reject": outcome.reject,
         "table_simulated": outcome.table_simulated,
     }
-    if args.format == "table":
-        verdict = "reject" if outcome.reject else "accept"
-        _write_out(
-            f"T = {outcome.statistic.t_value:.5f}, critical value = "
-            f"{outcome.critical_value:.5f} (n={outcome.n}, level={outcome.level:g}): "
-            f"{verdict} exponentiality\n",
-            None,
-        )
-    else:
-        _emit(doc)
-    return 0
-
-
-def _cmd_critical_table(args) -> int:
-    cfg = TestConfig(
-        order=_order_from(args),
-        replications=args.replications,
-        seed=args.seed,
-        variant=args.variant,
+    verdict = "reject" if outcome.reject else "accept"
+    text = (
+        f"T = {outcome.statistic.t_value:.5f}, critical value = "
+        f"{outcome.critical_value:.5f} (n={outcome.n}, level={outcome.level:g}): "
+        f"{verdict} exponentiality\n"
     )
-    table = critical_values(args.n, args.levels, cfg, workers=args.workers)
-    text = table.to_csv() if args.format == "csv" else table.to_json()
-    _write_out(text, args.out)
-    return 0
+    return doc, text
 
 
-def _cmd_power(args) -> int:
-    cfg = TestConfig(
-        order=_order_from(args),
-        replications=args.replications,
-        seed=args.seed,
-        variant=args.variant,
-    )
-    results = power_study(
-        args.alt, args.n, args.levels, cfg, table=_load_table(args.table), workers=args.workers
-    )
-    if args.format == "csv":
-        lines = ["n,level,critical_value,power,rejections,replications"]
-        for r in results:
-            lines.append(
-                f"{r.n},{r.level:g},{r.critical_value:.5f},{r.power:.4f},{r.rejections},{r.replications}"
-            )
-        _write_out("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "alt": args.alt.spec_text,
-            "replications": cfg.replications,
-            "seed": cfg.seed,
-            "results": [
-                {
-                    "n": r.n,
-                    "level": r.level,
-                    "critical_value": r.critical_value,
-                    "power": r.power,
-                    "rejections": r.rejections,
-                }
-                for r in results
-            ],
-        }
-        _emit(doc, args.out)
-    return 0
+def _cmd_critical_table(args) -> tuple[str, str]:
+    # the JSON document is the table's own file format, which --table reads back
+    table = critical_values(args.n, args.levels, _config(args))
+    return table.to_json(), table.to_csv()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_power(args) -> tuple[dict, str]:
+    cfg = _config(args)
+    results = power_study(args.alt, args.n, args.levels, cfg, table=_load_table(args.table))
+    lines = ["n,level,critical_value,power,rejections,replications"]
+    for r in results:
+        lines.append(f"{r.n},{r.level:g},{r.critical_value:.5f},{r.power:.4f},{r.rejections},{r.replications}")
+    doc = {
+        "alt": args.alt.spec_text,
+        "replications": cfg.replications,
+        "seed": cfg.seed,
+        "results": [
+            {
+                "n": r.n,
+                "level": r.level,
+                "critical_value": r.critical_value,
+                "power": r.power,
+                "rejections": r.rejections,
+            }
+            for r in results
+        ],
+    }
+    return doc, "\n".join(lines) + "\n"
+
+
+def _cmd_verify(args) -> tuple[dict, str]:
     cells = run_closed_form_suite(draws=args.draws, seed=args.seed, tol=args.tol)
-    if args.format == "json":
-        doc = {
-            "draws": args.draws,
-            "tol": args.tol,
-            "cells": [
-                {"name": c.name, "max_rel_err": c.max_rel_err, "ok": c.ok} for c in cells
-            ],
-            "ok": all(c.ok for c in cells),
-        }
-        _emit(doc)
-    else:
-        width = max(len(c.name) for c in cells)
-        for c in cells:
-            mark = "pass" if c.ok else "FAIL"
-            _write_out(f"{mark}  {c.name:<{width}}  max rel err {c.max_rel_err:.3e}\n", None)
-    return 0 if all(c.ok for c in cells) else 1
+    doc = {
+        "draws": args.draws,
+        "tol": args.tol,
+        "cells": [
+            {"name": c.name, "max_rel_err": c.max_rel_err, "ok": c.ok} for c in cells
+        ],
+        "ok": all(c.ok for c in cells),
+    }
+    width = max(len(c.name) for c in cells)
+    text = "".join(
+        f"{'pass' if c.ok else 'FAIL'}  {c.name:<{width}}  max rel err {c.max_rel_err:.3e}\n" for c in cells
+    )
+    return doc, text
 
 
 # ---------- parser ----------
@@ -394,7 +338,19 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
 
 
-_WORKERS_HELP = "ignored, kept for existing scripts: the batched replication engine runs in one process"
+def _add_data_args(p: argparse.ArgumentParser, column_help: str) -> None:
+    p.add_argument("--data", required=True, help="file of values, or '-' for stdin")
+    p.add_argument("--column", help=column_help)
+
+
+def _add_format(p: argparse.ArgumentParser, handler, *formats: str) -> None:
+    """Offer formats, the first the default, and run handler for the subcommand."""
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.set_defaults(handler=handler)
+
+
+def _add_out(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write to file instead of stdout")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,8 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=sorted(_MEASURES), default="gwse")
     p.add_argument("--method", choices=["auto", "closed", "quadrature"], default="auto")
     _add_order_args(p)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_entropy)
+    _add_format(p, _cmd_entropy, "json", "table")
 
     p = sub.add_parser("dynamic", help="dynamic measure at a time point")
     p.add_argument("--dist", type=_dist_arg, required=True)
@@ -419,84 +374,66 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="time point")
     p.add_argument("--method", choices=["auto", "closed", "quadrature"], default="auto")
     _add_order_args(p)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_dynamic)
+    _add_format(p, _cmd_dynamic, "json", "table")
 
     p = sub.add_parser("empirical", help="order-statistic estimate from data")
-    p.add_argument("--data", required=True, help="file of values, or '-' for stdin")
-    p.add_argument("--column", help="CSV column name (default: whitespace/comma separated values)")
-    p.add_argument("--measure", choices=["gwse", "gwfe"], default="gwse")
+    _add_data_args(p, "CSV column name (default: whitespace/comma separated values)")
+    p.add_argument("--measure", choices=list(_ESTIMATORS), default="gwse")
     p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY)
     _add_order_args(p)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_empirical)
+    _add_format(p, _cmd_empirical, "json", "table")
 
     p = sub.add_parser("gof-test", help="test a sample for exponentiality")
-    p.add_argument("--data", required=True, help="file of values, or '-' for stdin")
-    p.add_argument("--column", help="CSV column name")
+    _add_data_args(p, "CSV column name")
     p.add_argument("--level", type=_level_arg, default=TestConfig.level, help="significance level")
     p.add_argument("--table", help="critical-table JSON produced by critical-table")
     p.add_argument("--no-simulate", action="store_true", help="fail instead of simulating a missing critical value")
     _add_order_args(p)
     _add_sim_args(p)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(handler=_cmd_gof_test)
+    _add_format(p, _cmd_gof_test, "json", "table")
 
     p = sub.add_parser("critical-table", help="simulate a critical-value table")
     p.add_argument("--n", type=_n_values_arg, required=True, help="sample sizes, e.g. '4:30,35:50:5'")
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS, help="comma-separated levels (default 0.01,0.05,0.10)")
-    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     _add_order_args(p)
     _add_sim_args(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", help="write to file instead of stdout")
-    p.set_defaults(handler=_cmd_critical_table)
+    _add_format(p, _cmd_critical_table, "json", "csv")
+    _add_out(p)
 
     p = sub.add_parser("power", help="rejection rate against an alternative")
     p.add_argument("--alt", type=_dist_arg, required=True, help="alternative distribution, e.g. 'weibull(2)'")
     p.add_argument("--n", type=_n_values_arg, required=True)
     p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS)
     p.add_argument("--table", help="use critical values from this JSON table")
-    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     _add_order_args(p)
     _add_sim_args(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", help="write to file instead of stdout")
-    p.set_defaults(handler=_cmd_power)
+    _add_format(p, _cmd_power, "json", "csv")
+    _add_out(p)
 
     p = sub.add_parser("verify", help="closed form vs quadrature self-check")
     p.add_argument("--draws", type=_positive_int, default=20, help="random draws per cell")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance per draw")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(handler=_cmd_verify)
+    _add_format(p, _cmd_verify, "table", "json")
 
     return parser
 
 
-_ERROR_CODES = [
-    (DivergenceError, "divergence"),
-    (DegenerateSampleError, "degenerate-sample"),
-    (MissingTableEntryError, "missing-table-entry"),
-    (GwentropyError, "domain"),
-]
-
-
-def _error_code(exc: GwentropyError) -> str:
-    for cls, code in _ERROR_CODES:
-        if isinstance(exc, cls):
-            return code
-    return "domain"
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        doc, text = args.handler(args)
     except GwentropyError as exc:
-        print(json.dumps({"error": _error_code(exc), "message": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 1
+    if args.format == "json":
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if getattr(args, "out", None):  # only the tabular commands take --out
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 1 if args.command == "verify" and not doc["ok"] else 0
 
 
 if __name__ == "__main__":

@@ -598,7 +598,8 @@ class ProportionalHazards(_HazardForm):
             return np.where(s > 0.0, self.theta * s * self.base._hazard(x), 0.0)
 
     def _log_sf(self, x):
-        return self.theta * self.base._log_sf(x)
+        with np.errstate(over="ignore"):  # -inf where theta * log base sf overflows, and sf = 0
+            return self.theta * self.base._log_sf(x)
 
     def _hazard(self, x):
         return self.theta * self.base._hazard(x)

@@ -12,7 +12,12 @@ __all__ = [
 
 
 class GwentropyError(ValueError):
-    """Base class for domain errors raised by this package."""
+    """Base class for domain errors raised by this package.
+
+    ``code`` names the error class in the CLI's one-line JSON report.
+    """
+
+    code = "domain"
 
 
 class DivergenceError(GwentropyError):
@@ -23,14 +28,20 @@ class DivergenceError(GwentropyError):
     support is required, and similar).
     """
 
+    code = "divergence"
+
 
 class DegenerateSampleError(GwentropyError):
     """A sample admits no finite estimate (for instance all values equal,
     which drives the estimator's log argument to zero)."""
 
+    code = "degenerate-sample"
+
 
 class MissingTableEntryError(GwentropyError):
     """A critical-value lookup failed and on-the-fly simulation was disabled."""
+
+    code = "missing-table-entry"
 
 
 class QuadratureError(GwentropyError):

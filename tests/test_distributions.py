@@ -393,6 +393,14 @@ def test_proportional_hazards_tail_beyond_base_underflow():
     np.testing.assert_allclose(z.pdf(x), 0.01 * np.exp(-0.01 * x), rtol=1e-14)
 
 
+def test_proportional_hazards_log_survival_overflow_warns_nothing():
+    # theta times the base's log survival overflows to -inf, the right value,
+    # with no RuntimeWarning, as in the hazard families' own _log_sf
+    z = ProportionalHazards(Exponential(1.0), 2.0)
+    assert z._log_sf(1e308) == -math.inf
+    assert z.sf(1e308) == 0.0 and z.cdf(1e308) == 1.0
+
+
 def test_gamma_log_tail_beyond_underflow():
     # Gamma(2) has sf = (1 + x) exp(-x); its log tail and inverse hold past
     # the underflow of sf, through the continued fraction and Newton steps

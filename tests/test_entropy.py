@@ -483,6 +483,24 @@ def test_prh_deep_survival_meets_rel_tol(t, ref):
     assert got == pytest.approx(ref, rel=REL_TOL, abs=0.0)
 
 
+_FAILURE_WINDOW_NEAR_SF_ZERO = pytest.mark.xfail(
+    strict=True, reason="the window's upper half loses the stretch where cdf rounds to 1 (ROADMAP item 10)"
+)
+
+
+@pytest.mark.parametrize(
+    "t", [680.0, pytest.param(690.0, marks=_FAILURE_WINDOW_NEAR_SF_ZERO), pytest.param(1000.0, marks=_FAILURE_WINDOW_NEAR_SF_ZERO)]
+)
+def test_gdwfe_where_the_cdf_rounds_to_one(t):
+    # past x = 60 the cdf of Exponential(1) is 1 to far below an ulp of the
+    # integral, whose tail there is (t**2 - 3600) / 2 exactly; as sf(t) nears
+    # 0 the window's upper half, run in sf from sf(t) up, loses that stretch:
+    # 690 gave 9.3723 with an IntegrationWarning, 1000 a QuadratureError
+    head = quad(lambda x: x * (-math.expm1(-x)) ** ORD.gamma, 0.0, 60.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    want = math.log(head + (t * t - 3600.0) / 2.0) / ORD.delta
+    assert gdwfe(Exponential(1.0), ORD, t).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("base,theta", [(Exponential(1.0), 5.0), (Weibull(0.7), 3.0)], ids=["exponential", "weibull"])
 def test_prh_survival_quadrature_meets_rel_tol(base, theta):
     # the survival-side inverse of a PRH model must not round 1 - v: against
