@@ -5,10 +5,10 @@ SeededSampler(seed, stream).generator() is numpy's Philox4x64-10 generator
 draws many streams at once from an array port of it, each with the bits it
 has on its own: uniforms by numpy's next_double, and Gamma values by the
 squeeze-free Marsaglia-Tsang method (J. Stat. Softw. 5(8), 2000) on normals
-from an array port of numpy's ziggurat.  The rest of the package uses only
-SeededSampler, stream_words and its limits N_LIMIT and B_LIMIT, uniforms,
-gammas and gamma_row.
-"""
+from an array port of numpy's ziggurat, over a read-only block of each
+stream's first words and any word past it computed where it is read.  The
+rest of the package uses only SeededSampler, stream_words and its limits
+N_LIMIT and B_LIMIT, uniforms, gammas and gamma_row."""
 
 from __future__ import annotations
 
@@ -147,10 +147,7 @@ def _doubles(words: np.ndarray, out=None) -> np.ndarray:
 # the slow path of _slow_normals
 _RABS = np.uint64(0x000FFFFFFFFFFFFF)
 _LAYER = np.uint64(0xFF)
-_SIGN = np.uint64(0x100)
-_ROW_KEY = 1 << 40  # a slow word's key is row * _ROW_KEY + column
-_NO_KEY = np.iinfo(np.int64).max
-_SCAN_WORDS = 16384  # words per step of _slow_keys
+_RABS_SIGN = np.uint64(0x001FFFFFFFFFFFFF)  # 2 rabs + sign, of a word shifted right by 8
 
 # numpy's tables, from numpy/random/src/distributions/ziggurat_constants.h:
 # ki_double, wi_double and fi_double over the 256 layers, the widths and
@@ -360,88 +357,70 @@ _FI = np.array((
 ), dtype=np.uint64).view(np.float64)
 
 
-def _fast_normals(w: np.ndarray, out: np.ndarray, layer: np.ndarray) -> np.ndarray:
-    """The fast-path normal of each word of w, +-rabs * WI[idx], into out and
-    returned; w and layer, an int64 array of w's size, are overwritten."""
-    np.bitwise_and(w, _LAYER, out=layer.view(np.uint64))
+def _fast_normals(w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fast-path normal of each word of w, +-rabs * WI[idx], into out, and
+    whether the word misses the fast path, rabs >= KI[idx]: 2 rabs + sign >=
+    2 KI[idx], with KI looked up in out.  w and scratch, an int64 array of w's
+    size, are overwritten; the sign bit goes to scratch and then to out's."""
+    layer = np.bitwise_and(w, _LAYER, out=scratch.view(np.uint64)).view(np.int64)
+    w >>= np.uint64(8)
+    w &= _RABS_SIGN
+    ki = _KI.take(layer, out=out.view(np.uint64), mode="clip")
+    slow = np.greater_equal(w, np.left_shift(ki, np.uint64(1), out=ki))
     _WI.take(layer, out=out, mode="clip")
-    negative = np.bitwise_and(w, _SIGN, out=layer.view(np.uint64)).astype(bool)
-    np.right_shift(w, np.uint64(9), out=w)
-    w &= _RABS
+    sign = np.left_shift(w, np.uint64(63), out=layer.view(np.uint64))
+    w >>= np.uint64(1)
     np.multiply(w, out, out=out)  # rabs as a double, times WI[idx]
-    return np.negative(out, out=out, where=negative)
+    np.bitwise_xor(out.view(np.uint64), sign, out=out.view(np.uint64))
+    return out, slow
 
 
-def _slow_keys(rows: np.ndarray, start: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Keys of the words of row block `words` (row i of it is row rows[i],
-    from column start[i] on) that miss the ziggurat's fast path, scanned a
-    few rows at a time so no temporary is the size of the block."""
-    keys = []
-    step = max(1, _SCAN_WORDS // words.shape[1])
-    for lo in range(0, rows.size, step):
-        part = words[lo : lo + step]
-        layer = (part & _LAYER).view(np.intp)  # take would copy uint64 indices to intp
-        r, c = np.nonzero(((part >> np.uint64(9)) & _RABS) >= _KI.take(layer))
-        keys.append(rows[lo + r] * _ROW_KEY + start[lo + r] + c)
-    return np.concatenate(keys)
+def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges [start[i], start[i] + count[i]), one after another."""
+    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 class _WordBuffer:
-    """Each row's Philox words from the start of its stream, grown row by row
-    where it stopped when a row asks for more, and the sorted keys of the
-    words that miss the ziggurat's fast path.
+    """Each row's first Philox words, read-only; a word past them is computed
+    from its own Philox counter where it is read.
 
     doubles and normals write into out and gather their words through the
     (int64, uint64) scratch pair of out's size, rows of _gamma_rounds' workspace."""
 
     def __init__(self, seed: int, streams: np.ndarray, width: int):
-        rows, blocks = streams.size, -(-width // 4)
         self.seed, self.streams = seed, streams
-        self.words = _philox_words(seed, streams, 1, blocks)
-        self.have = np.full(rows, 4 * blocks)
-        self.slow = np.append(_slow_keys(np.arange(rows), np.zeros(rows, dtype=np.int64), self.words), _NO_KEY)
-
-    def reserve(self, rows: np.ndarray, upto: np.ndarray) -> None:
-        """Make words [0, upto[i]) of row rows[i] readable."""
-        short = upto > self.have[rows]
-        if not short.any():
-            return
-        rows, start = rows[short], self.have[rows[short]]
-        blocks = -(-int((upto[short] - start).max()) // 4)
-        chunk = _philox_words(self.seed, self.streams[rows], start // 4 + 1, blocks)
-        grow = int(start.max()) + 4 * blocks - self.words.shape[1]
-        if grow > 0:
-            self.words = np.pad(self.words, ((0, 0), (0, grow)))
-        self.words[rows[:, None], start[:, None] + np.arange(4 * blocks)] = chunk
-        self.have[rows] = start + 4 * blocks
-        self.slow = np.sort(np.concatenate((self.slow, _slow_keys(rows, start, chunk))))
+        self.words = _philox_words(seed, streams, 1, -(-width // 4))
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Word cols[i] of row rows[i]."""
-        return self.words.take(rows * self.words.shape[1] + cols)
+        width = self.words.shape[1]
+        w = self.words.take(rows * width + cols, mode="clip")
+        past = np.flatnonzero(cols >= width)
+        if past.size:
+            r, c = rows[past], cols[past]
+            w[past] = _philox_words(self.seed, self.streams[r], c // 4 + 1, 1)[np.arange(past.size), c % 4]
+        return w
 
-    def _gather(self, rows, pos, k, idx, w, skips=None) -> np.ndarray:
-        """Into w, one word for each of k[i] > 0 outputs of row rows[i],
-        flattened row by row: consecutive words from pos[i] on, but where skips
-        (a row's place in rows, an output, the extra words before it) adds
-        some.  idx, as long as w (k.sum()), holds the flat word indices: a
-        running sum of steps of 1, the skips, and at each row's first output
-        the jump from the previous row's last word."""
-        first = rows * self.words.shape[1] + pos
-        last = first + (k - 1)
+    def _gather(self, rows, pos, k, idx, w) -> np.ndarray:
+        """Into w, words pos[i] to pos[i] + k[i] - 1 of row rows[i] for each
+        k[i] > 0, flattened row by row.  idx, as long as w (k.sum()), holds
+        the flat word indices in the block: a running sum of steps of 1 with,
+        at each row's first word, the jump from the previous row's last.  A
+        row that reads past the block then takes its words from at."""
+        width = self.words.shape[1]
+        first = rows * width + pos
         starts = np.cumsum(k) - k
         idx.fill(1)
-        if skips is not None:
-            np.add.at(last, skips[0], skips[2])
-        first[1:] -= last[:-1]
+        first[1:] -= first[:-1] + (k[:-1] - 1)
         idx[starts] = first
-        if skips is not None:
-            np.add.at(idx, skips[1], skips[2])
-        return self.words.take(np.cumsum(idx, out=idx), out=w, mode="clip")
+        self.words.take(np.cumsum(idx, out=idx), out=w, mode="clip")
+        over = np.flatnonzero(pos + k > width)
+        if over.size:
+            w[_runs(starts[over], k[over])] = self.at(np.repeat(rows[over], k[over]), _runs(pos[over], k[over]))
+        return w
 
     def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out, scratch) -> np.ndarray:
         """k[i] > 0 doubles of row rows[i] from word pos[i] on, flattened row by row."""
-        self.reserve(rows, pos + k)
         return _doubles(self._gather(rows, pos, k, *scratch), out)
 
     def normals(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out, scratch) -> tuple[np.ndarray, np.ndarray]:
@@ -449,41 +428,51 @@ class _WordBuffer:
         numpy's Generator.standard_normal draws them, flattened row by row;
         and the word position after each row's last one.
 
-        Each row's normals are fast-path words between slow words; the slow
-        words are taken in increasing word order, all rows at once, and then
-        every normal's word is gathered in one pass, a slow word's normal
-        replaced afterwards.
-        """
+        The k[i] words from pos[i] on are read as fast-path normals, and the
+        slow words among them are taken in word order, one per row per pass.
+        A slow word's normal, if it makes one, replaces its fast value, and
+        the words it reads move the rest of its row's outputs along by the
+        words it reads less the normal it makes; one gather then puts every
+        value in its output.  The outputs moved past a row's words read are
+        drawn by a call on those rows alone."""
         idx, w = scratch
+        out, slow = _fast_normals(self._gather(rows, pos, k, idx, w), out, idx)
         end = np.cumsum(k)
-        dst, p = end - k, pos.copy()
-        skips, slow = [], []  # (row place, output, extra words before it); (output, normal)
-        live = np.arange(rows.size)
+        dst = end - k
+        slow = np.append(np.flatnonzero(slow), end[-1])  # the slow words' flat places, and a sentinel
+        done, read, moved = np.zeros((3, rows.size), dtype=np.int64)  # a row's outputs, words and moves so far
+        live, moves = np.arange(rows.size), []
         while live.size:
-            need = end[live] - dst[live]
-            self.reserve(rows[live], p[live] + need)
-            key = rows[live] * _ROW_KEY + p[live]
-            run = np.subtract(self.slow[np.searchsorted(self.slow, key)], key, out=key)  # to the next slow word
-            hit = run < need
-            np.minimum(run, need, out=run)
-            p[live] += run
-            dst[live] += run
-            live = live[hit]
-            if live.size:
-                made, value, used = self._slow_normals(rows[live], p[live])
-                slow.append((dst[live[made]], value[made]))
-                # the next output's word is `used` on, less the one a normal made here takes
-                skips.append((live, dst[live] + made, used - made))
-                dst[live] += made
-                p[live] += used
-                live = live[dst[live] < end[live]]
-        if skips:
-            row, at, extra = (np.concatenate(col) for col in zip(*skips))
-            inside = at < end[row]  # a skip after a row's last normal moves no word of it
-            skips = row[inside], at[inside], extra[inside]
-        _fast_normals(self._gather(rows, pos, k, idx, w, skips or None), out, idx)
-        for at, value in slow:
-            out[at] = value
+            f = slow.take(np.searchsorted(slow, dst[live] + read[live]), mode="clip") - dst[live]  # the next slow word
+            live, f = live[f < k[live]], f[f < k[live]]
+            if not live.size:
+                break
+            made, x, used = self._slow_normals(rows[live], pos[live] + f)
+            out[dst[live[made]] + f[made]] = x[made]
+            done[live] += f - read[live] + made
+            read[live] = f + used
+            more = done[live] < k[live]  # a full row moves no output
+            live, step = live[more], (used - made)[more]
+            moves.append((dst[live] + done[live], step))
+            moved[live] += step
+        if moves:
+            # each output's value: a running sum of steps of 1, the moves, and
+            # at each row's first output the jump from the previous row's last
+            idx.fill(1)
+            idx[0] = 0
+            idx[dst[1:]] -= moved[:-1]
+            for at, step in moves:
+                idx[at] += step
+            np.copyto(out, out.take(np.cumsum(idx, out=idx), out=w.view(np.float64), mode="clip"))
+        p = pos + np.maximum(read, k)
+        short = np.minimum(read, k) - done
+        rest = np.flatnonzero(short)
+        if rest.size:
+            count = short[rest]
+            z, i, u = np.empty((3, count.sum()), dtype=np.int64)
+            out[_runs(end[rest] - count, count)], p[rest] = self.normals(
+                rows[rest], p[rest], count, z.view(np.float64), (i, u.view(np.uint64))
+            )
         return out, p
 
     def _slow_normals(self, rows: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -492,11 +481,10 @@ class _WordBuffer:
 
         exp and log1p come from math, the libm functions numpy's C calls.
         """
-        self.reserve(rows, pos + 2)
         w = self.at(rows, pos)
         idx = (w & _LAYER).astype(np.intp)
         rabs = (w >> np.uint64(9)) & _RABS
-        x = _fast_normals(w, np.empty(w.size), np.empty(w.size, dtype=np.int64))
+        x = _fast_normals(w, np.empty(w.size), np.empty(w.size, dtype=np.int64))[0]
         # the wedge of layer idx > 0: one double against the density
         u = _doubles(self.at(rows, pos + 1))
         density = np.array([math.exp(e) for e in (-0.5 * x * x).tolist()])
@@ -507,7 +495,6 @@ class _WordBuffer:
         made[tail], used[tail] = True, 1
         while tail.size:
             at = pos[tail] + used[tail]
-            self.reserve(rows[tail], at + 2)
             a = _doubles(self.at(rows[tail], at)).tolist()
             b = _doubles(self.at(rows[tail], at + 1)).tolist()
             xx = np.array([-_NOR_INV_R * math.log1p(-v) for v in a])
@@ -534,9 +521,9 @@ class _GeneratorWords:
         return self.rng.standard_normal(out=out), pos
 
 
-# spare words in a row's first buffer, as a share of its boost block and first
-# round: later rounds and slow ziggurat words mostly fit in them, and a row
-# that reads past them is extended where it stopped
+# spare words in a row's word block, as a share of its boost block and first
+# round: later rounds and slow ziggurat words mostly fit in them, and a word
+# past them is computed from its own Philox counter each time it is read
 _GAMMA_SPARE = 0.125
 
 

@@ -213,7 +213,8 @@ class Exponential(_HazardForm):
         return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * x))
 
     def _isf_log(self, log_v):
-        return log_v / -self.rate
+        with np.errstate(over="ignore"):  # inf where a subnormal rate overflows the quotient
+            return log_v / -self.rate
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
@@ -240,7 +241,8 @@ class Pareto(Distribution):
         x = np.asarray(x, dtype=float)
         inside = x >= self.scale
         xs = np.where(inside, x, self.scale)
-        return np.where(inside, self.shape * self.scale**self.shape / xs ** (self.shape + 1.0), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # scale ** shape, xs ** (shape + 1) past the float range
+            return np.where(inside, self.shape * np.float64(self.scale) ** self.shape / xs ** (self.shape + 1.0), 0.0)
 
     def cdf(self, x):
         return 1.0 - self.sf(x)
@@ -338,8 +340,8 @@ class Power(Distribution):
         x = np.asarray(x, dtype=float)
         inside = (x >= 0.0) & (x <= self.upper)
         xs = np.where(inside, x, self.upper)
-        with np.errstate(divide="ignore"):  # at 0, inf for shape < 1
-            return np.where(inside, self.shape * xs ** (self.shape - 1.0) / self.upper**self.shape, 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf at 0 for shape < 1; upper ** shape
+            return np.where(inside, self.shape * xs ** (self.shape - 1.0) / np.float64(self.upper) ** self.shape, 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -79,9 +79,7 @@ class Sample:
             total = self._sums[gamma][0 if survival else 1]
             if include_head:
                 total = float(total + _head(self.values))
-        if not math.isfinite(total):
-            raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
-        return total
+        return _finite(total)
 
     @property
     def n(self) -> int:
@@ -187,6 +185,13 @@ def _head(x: np.ndarray) -> np.ndarray:
     """The leading segment's x_(1)**2 / 2 along the last axis of sorted x,
     which the FULL_STEP variant adds to the survival gap sum."""
     return x[..., 0] * x[..., 0] / 2.0
+
+
+def _finite(totals):
+    """totals, gap sums, unless one is not finite: the sample's squares overflow."""
+    if not np.isfinite(totals).all():
+        raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
+    return totals
 
 
 def _log_gap_sum(total: float) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _random
 from .distributions import Distribution, Exponential
-from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _gap_sums, _head, _log_gap_sum
+from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _finite, _gap_sums, _head, _log_gap_sum
 from .entropy import EntropyOrder
 from .errors import GwentropyError, MissingTableEntryError
 
@@ -208,7 +208,8 @@ def _replicate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Gap sums and means of replications [start, stop) of size-n samples
     drawn from d, each drawn once, and their distances and scale from
-    _distances."""
+    _distances; DegenerateSampleError where a gap sum is not finite, as
+    statistic raises on that row."""
     full = cfg.variant is EstimatorVariant.FULL_STEP
     rows = max(1, _BLOCK_VALUES // n)
     totals, means = np.empty(stop - start), np.empty(stop - start)
@@ -216,10 +217,13 @@ def _replicate(
         hi = min(lo + rows, stop)
         x = d._sample_streams(cfg.seed, _random.stream_words(tag, n, np.arange(lo, hi)), n)
         x.sort(axis=1)
-        totals[lo - start : hi - start] = _gap_sums(x, cfg.order.gamma, (True,))[0]  # the survival side only
-        if full:
-            totals[lo - start : hi - start] += _head(x)
-        x.mean(axis=1, out=means[lo - start : hi - start])
+        total, mean = totals[lo - start : hi - start], means[lo - start : hi - start]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total[:] = _gap_sums(x, cfg.order.gamma, (True,))[0]  # the survival side only
+            if full:
+                total += _head(x)
+            x.mean(axis=1, out=mean)
+        _finite(total)  # and so every square, and the mean, is finite
         del x  # before the next block's draw, not after it
     return (totals, means, *_distances(totals, means, cfg.order))
 

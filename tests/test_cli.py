@@ -522,6 +522,21 @@ def test_domain_error_near_zero_power_shape_under_warnings_as_errors():
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv", ["--alt pareto(0.01,1) --n 2 -B 50 --seed 1", "--alt weibull(0.004) --n 20 -B 200"], ids=["pareto", "weibull"]
+)
+def test_power_whose_draws_overflow_their_squares_is_a_degenerate_sample(argv):
+    # two of pareto(0.01,1)'s 50 replications have gap sums of +inf, which the
+    # engine once counted as rejections (T = 0) after an overflow warning;
+    # weibull(0.004)'s meet inf - inf, once reported as a zero integral
+    proc = _run_module("power", *argv.split(), warnings_as_errors=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "degenerate-sample", "message": "empirical integral is not finite; the sample's squares overflow"
+    }
+
+
 @pytest.mark.parametrize("command", [["empirical"], ["gof-test", "--replications", "100"]])
 def test_overflowing_sample_is_one_json_line_under_warnings_as_errors(command, tmp_path):
     # squares of 1e200 overflow: one JSON line and exit 1, not an inf estimate
@@ -661,31 +676,36 @@ def test_error_contract_on_the_input_grammar(argv, data_dir):
     _check_contract([str(data_dir / word) if word.endswith(".txt") else word for word in argv])
 
 
-def _break(argv, raises, item):
-    mark = pytest.mark.xfail(strict=True, raises=raises, reason=f"ROADMAP item {item}")
-    return pytest.param(argv.split(), marks=mark, id=argv)
+def _case(argv, raises=None, item=None):
+    """A contract case, a strict xfail where it still breaks (ROADMAP item `item`)."""
+    marks = [pytest.mark.xfail(strict=True, raises=raises, reason=f"ROADMAP item {item}")] if raises else []
+    return pytest.param(argv.split(), marks=marks, id=argv)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         # Gamma.pdf overflows in exp at a concentrated law
-        _break("entropy --dist gamma(1e20) --method quadrature --measure gse", RuntimeWarning, 10),
-        _break("entropy --dist gamma(1e308) --method quadrature --measure gse", RuntimeWarning, 10),
-        # Pareto.pdf's scale ** shape overflows on Python floats: a traceback, with or without -W error
-        _break("entropy --dist pareto(1e20,2.5) --method quadrature", OverflowError, 3),
-        # a subnormal scale overflows 1 / scale in Power.pdf, Uniform.sf and Exponential._isf_log
-        _break("entropy --dist power(0.3,5e-324) --measure gse", RuntimeWarning, 3),
-        _break("dynamic --dist uniform(-0,1e-320) --t 1e308 --method closed", RuntimeWarning, 3),
-        _break("power --alt exponential(5e-324) --n 2 -B 50", RuntimeWarning, 3),
-        # the engine's gap sums overflow, or meet inf - inf, on such draws
-        _break("power --alt pareto(1e308,1e308) --n 2 -B 1", RuntimeWarning, 3),
-        _break("power --alt weibull(5e-324) --n 20 -B 50", RuntimeWarning, 3),
+        _case("entropy --dist gamma(1e20) --method quadrature --measure gse", RuntimeWarning, 10),
+        _case("entropy --dist gamma(1e308) --method quadrature --measure gse", RuntimeWarning, 10),
+        # Pareto.pdf's scale ** shape and Power.pdf's upper ** shape past the
+        # float range, and Power.pdf's 1 / upper ** shape at a subnormal upper
+        _case("entropy --dist pareto(1e20,2.5) --method quadrature"),
+        _case("entropy --dist power(7,1e308)"),
+        _case("entropy --dist power(0.3,5e-324) --measure gse"),
+        # a subnormal scale overflows 1 / scale in Uniform.sf
+        _case("dynamic --dist uniform(-0,1e-320) --t 1e308 --method closed", RuntimeWarning, 3),
+        # the engine's draws overflow (Exponential._isf_log at a subnormal rate), and their
+        # gap sums overflow or meet inf - inf
+        _case("power --alt exponential(5e-324) --n 2 -B 50"),
+        _case("power --alt pareto(1e308,1e308) --n 2 -B 1"),
+        _case("power --alt weibull(5e-324) --n 20 -B 50"),
         # gdwfe's window nodes round to v = 0 where cdf(t) is subnormal, and log(0) warns
-        _break("dynamic --dist weibull(1) --measure gdwfe --t 5e-324", RuntimeWarning, 10),
+        _case("dynamic --dist weibull(1) --measure gdwfe --t 5e-324", RuntimeWarning, 10),
     ],
 )
 def test_error_contract_known_breaks(argv):
+    # inputs that broke the contract once; the strict xfails still do
     _check_contract(argv)
 
 

@@ -456,8 +456,8 @@ def test_philox_block_matches_numpy_philox(seed, streams, n):
 @example(seed=2**64 - 1, rows=[(2**64 - 1, 2)], blocks=1)
 @example(seed=2**64 - 1, rows=[(2**64 - 1, 7), (0, 3)], blocks=3)
 def test_philox_words_from_per_row_counters_match_numpy_philox(seed, rows, blocks):
-    # _WordBuffer.reserve's path: row i starts at its own counter first[i] > 1,
-    # the words numpy's Philox gives after it is advanced by first[i] - 1 blocks
+    # _WordBuffer.at's path past its block: row i starts at its own counter
+    # first[i] > 1, the words numpy's Philox gives after first[i] - 1 blocks
     streams, first = (np.array(col, dtype=np.uint64) for col in zip(*rows))
     words = _philox_words(seed, streams, first, blocks)
     assert words.shape == (len(rows), 4 * blocks)
@@ -500,8 +500,8 @@ def _words_drawn(rng: np.random.Generator) -> int:
 @example(seed=0, streams=[(2 << 56) | (5 << 32)], n=1)
 def test_ziggurat_normals_match_numpy(seed, streams, n):
     # numpy's Generator.standard_normal is the oracle, for the values and for
-    # the words they use; from a first buffer of one block, every row that
-    # needs more than four words is extended
+    # the words they use; from a block of four words, every row that needs
+    # more reads the rest from their own Philox counters
     streams = np.array(streams, dtype=np.uint64)
     words = _WordBuffer(seed, streams, 4)
     z, pos = _normals(words, np.arange(streams.size), np.zeros(streams.size, dtype=np.int64), np.full(streams.size, n))
@@ -572,6 +572,29 @@ def test_ziggurat_layer_thresholds_match_numpy(monkeypatch):
         assert end == source.used
 
 
+def test_ziggurat_slow_words_read_as_doubles_start_no_normal(monkeypatch):
+    # a slow word's wedge double, and each double of a tail's pairs, that is
+    # itself a slow-path word is read as a double only: the next normal
+    # starts after it, and the row ends where numpy's sampler ends
+    filler, top = (1 << 60) | 128, 2**64 - 1  # a fast word; a slow word whose double is 1 - 2**-53
+    wedge, tail, zero = (int(_KI[100]) << 9) | 100, int(_KI[0]) << 9, 1  # zero: layer 1, always slow, double 0
+    starts = [
+        [wedge, zero],  # the wedge's double is a slow word, and accepts
+        [wedge, top],  # and rejects
+        [wedge, tail],  # a tail word
+        [tail, top, zero, zero, filler],  # a pair of slow words rejected, then one accepted
+        [filler, tail, top, tail, wedge, zero, filler, wedge, top],
+    ]
+    words = np.array([w + [filler] * (16 - len(w)) for w in starts], dtype=np.uint64)
+    monkeypatch.setattr(_random, "_philox_words", lambda seed, streams, first_block, blocks: words)
+    rows = np.arange(len(starts))
+    z, pos = _normals(_WordBuffer(0, np.zeros(rows.size, dtype=np.uint64), 16), rows, 0 * rows, np.full(rows.size, 3))
+    for row, end, stream_words in zip(z.reshape(-1, 3), pos.tolist(), words):
+        source = _WordSource(stream_words)
+        np.testing.assert_array_equal(row, np.random.Generator(source).standard_normal(3))
+        assert end == source.used
+
+
 def test_ziggurat_slow_paths_are_taken(monkeypatch):
     # a fixed case in which the wedge both accepts and rejects and the tail
     # beyond R, of both signs, rejects a pair of doubles at least once
@@ -639,7 +662,7 @@ def test_gamma_streams_match_sample_values(monkeypatch, shape, n, count, spare):
     # reference for both word sources of _random._gamma_rounds: the
     # engine's rows, and Gamma.sample_values, which must also leave its
     # Generator where the reference leaves it, fresh or already used.  With no
-    # spare share a row's first buffer holds its boost block, its first round
+    # spare share a row's word block holds its boost block, its first round
     # and a few words more, which 2000 values overrun; 400 rows of 100 values
     # run as one set of rounds over 40 000 values, more than an engine block
     calls = []

@@ -1,7 +1,6 @@
 """Empirical estimators from order statistics."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,7 +188,7 @@ def test_one_pass_keeps_the_bits_of_each_side(gamma, n, rows):
     [lambda s: empirical_gwse(s, ORD), lambda s: empirical_gwfe(s, ORD), lambda s: statistic(s, ORD)],
     ids=["empirical_gwse", "empirical_gwfe", "statistic"],
 )
-def test_estimator_peak_memory_does_not_grow_with_n(estimate):
+def test_estimator_peak_memory_does_not_grow_with_n(traced_peak, estimate):
     # the kernel holds a few chunk-sized buffers and no array of the n - 1
     # terms: about 0.5 MiB at any n.  A Sample keeps its gap sums, so the
     # traced call is a fresh sample's first
@@ -197,13 +196,8 @@ def test_estimator_peak_memory_does_not_grow_with_n(estimate):
     x = SeededSampler(5, 0).generator().exponential(size=n)
     estimate(Sample(x))  # a first call outside the trace: lazy imports and caches
     s = Sample(x)
-    tracemalloc.start()
-    try:
-        estimate(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2**20
+    peak = traced_peak(lambda: estimate(s))
+    assert peak <= 1.0, f"traced peak {peak:.3f} MiB against a bound of 1 MiB"
 
 
 # ---------- kept gap sums ----------
