@@ -187,11 +187,11 @@ def _head(x: np.ndarray) -> np.ndarray:
     return x[..., 0] * x[..., 0] / 2.0
 
 
-def _finite(totals):
-    """totals, gap sums, unless one is not finite: the sample's squares overflow."""
-    if not np.isfinite(totals).all():
+def _finite(total: float) -> float:
+    """total, a gap sum, unless it is not finite: the sample's squares overflow."""
+    if not math.isfinite(total):
         raise DegenerateSampleError("empirical integral is not finite; the sample's squares overflow")
-    return totals
+    return total
 
 
 def _log_gap_sum(total: float) -> float:

@@ -223,7 +223,7 @@ def _replicate(
             if full:
                 total += _head(x)
             x.mean(axis=1, out=mean)
-        _finite(total)  # and so every square, and the mean, is finite
+        _finite(float(total.max()))  # NaN and inf reach the max; a finite sum bounds the squares, and so the mean
         del x  # before the next block's draw, not after it
     return (totals, means, *_distances(totals, means, cfg.order))
 
