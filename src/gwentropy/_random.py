@@ -441,7 +441,7 @@ class _WordBuffer:
         dst = end - k
         slow = np.append(np.flatnonzero(slow), end[-1])  # the slow words' flat places, and a sentinel
         done, read, moved = np.zeros((3, rows.size), dtype=np.int64)  # a row's outputs, words and moves so far
-        live, moves = np.arange(rows.size), []
+        live, moves = np.unique(np.searchsorted(end, slow[:-1], side="right")), []  # the rows with a slow word
         while live.size:
             f = slow.take(np.searchsorted(slow, dst[live] + read[live]), mode="clip") - dst[live]  # the next slow word
             live, f = live[f < k[live]], f[f < k[live]]
