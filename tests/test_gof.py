@@ -489,7 +489,7 @@ def test_replication_engine_forms_the_survival_side_only(monkeypatch):
 def test_replication_engine_peak_memory_is_a_few_blocks(traced_peak, d, n, seed, bound_mb):
     # Philox rounds in place, and Gamma's rejection rounds over a whole block
     # in a workspace of four arrays of its values, keep one call's traced peak
-    # near a few blocks of 8-byte values: 0.9-1.4 MiB, and for Gamma 2.96 MiB
+    # near a few blocks of 8-byte values: 0.9-1.4 MiB, and for Gamma 2.93 MiB
     # (n = 5) and 1.95 MiB (n = 100) at seeds 3, 4 and 6, whose rounds with a
     # temporary for each step took 4.6 MB over a whole block.  Gamma's word
     # block is never grown: a buffer that grew by a copy of the whole block
