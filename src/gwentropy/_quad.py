@@ -19,8 +19,8 @@ singularities at the ends; all windows of a call, here and in the bounds of
 double-exponential (tanh-sinh) quadrature (Takahasi & Mori, 1974) with
 Bailey's error estimate (Bailey, Jeyabalan & Li, 2005), written here in numpy
 on scipy's node tables and stopping rule: levels 0-3 of an elementwise
-integrand are one vectorized call, and each further level one more.  An
-element it does not bring to ``REL_TOL`` falls back to ``scipy.integrate.quad``.
+integrand are one vectorized call, and each further level one more.  ``quad``
+takes an element still short of ``REL_TOL``, or raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -72,10 +72,11 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
     f is called with x of shape (elements, nodes) and each arg of shape
     (elements, 1): once for levels 0-3, then once per further level for the
     elements still short of REL_TOL; an element still short after level 10
-    is integrated again by quad, with x and each arg of shape (1, 1).  f is
-    only evaluated strictly inside (a, b): a node that rounds onto a limit
-    gets zero weight and is evaluated at the midpoint.  A value of f that is
-    not finite raises QuadratureError.
+    is integrated again by quad, with x and each arg of shape (1, 1), under
+    the rule's errstate.  f is only evaluated strictly inside (a, b): a node
+    that rounds onto a limit gets zero weight and is evaluated at the
+    midpoint.  A value of f that is not finite, or a quad result short of
+    REL_TOL (with its estimate and error estimate), raises QuadratureError.
     """
     a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), *args)
     shape = a.shape
@@ -133,14 +134,16 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
             if not live.size:
                 break
             a, b, reach, tail, s, s1, *args = (v[keep] for v in (a, b, reach, tail, s, s1, *args))
-    if live.size:  # not converged by the last level: the quad fallback
-        from scipy.integrate import quad
+        if live.size:  # not converged by the last level: the quad fallback
+            from scipy.integrate import quad
 
-        for j, i in enumerate(live):
-            row = [v[j : j + 1] for v in (a, b, *args)]
-            out[i] = quad(
-                lambda x: inside(np.full((1, 1), x), *row)[0, 0], a[j, 0], b[j, 0], epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS
-            )[0]
+            for j, i in enumerate(live):
+                row = [v[j : j + 1] for v in (a, b, *args)]
+                value, error, _, *short = quad(lambda x: inside(np.full((1, 1), x), *row)[0, 0], a[j, 0], b[j, 0],
+                                               epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)
+                if short:  # with full_output, quad returns its message where it falls short instead of warning
+                    raise QuadratureError(f"quad fell short of rtol {REL_TOL:g}: estimate {value:.17g}, error estimate {error:.3g}")
+                out[i] = value
     return out.reshape(shape)
 
 

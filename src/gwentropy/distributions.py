@@ -254,7 +254,8 @@ class Pareto(Distribution):
         return np.where(inside, (self.scale / xs) ** self.shape, 1.0)
 
     def _quantile(self, u):
-        return self.scale * (1.0 - u) ** (-1.0 / self.shape)
+        with np.errstate(over="ignore"):  # inf where the quantile passes the float range
+            return self.scale * (1.0 - u) ** (-1.0 / self.shape)
 
     def _isf(self, v):
         return self.scale * v ** (-1.0 / self.shape)
@@ -303,11 +304,13 @@ class Uniform(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lower) / self._width(), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # +-inf, clipped, where a subnormal width overflows the quotient
+            return np.clip((x - self.lower) / self._width(), 0.0, 1.0)
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.clip((self.upper - x) / self._width(), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # as in cdf
+            return np.clip((self.upper - x) / self._width(), 0.0, 1.0)
 
     def _quantile(self, u):
         return self.lower + self._width() * u
@@ -345,7 +348,8 @@ class Power(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.clip(x / self.upper, 0.0, 1.0) ** self.shape
+        with np.errstate(over="ignore"):  # inf, clipped to 1, where a subnormal upper overflows the quotient
+            return np.clip(x / self.upper, 0.0, 1.0) ** self.shape
 
     def sf(self, x):
         return 1.0 - self.cdf(x)
@@ -370,7 +374,8 @@ class Rayleigh(_HazardForm):
         return np.where(x < 0.0, 0.0, 2.0 * self.rate * x * np.exp(-self.rate * x * x))
 
     def _isf_log(self, log_v):
-        return np.sqrt(-log_v / self.rate)
+        with np.errstate(over="ignore"):  # inf where a subnormal rate overflows the quotient
+            return np.sqrt(-log_v / self.rate)
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)

@@ -45,4 +45,4 @@ class MissingTableEntryError(GwentropyError):
 
 
 class QuadratureError(GwentropyError):
-    """A quadrature's integrand returned a value that is not finite."""
+    """A quadrature's integrand is not finite, or its quad fallback falls short of REL_TOL."""

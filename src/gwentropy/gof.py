@@ -38,7 +38,7 @@ subnormals, finishes every row beyond it.  Every critical value and power
 count is thus the one that sorting every exact T gives, from one pass that
 draws each replication once.
 The engine runs in the calling process; the workers argument of
-critical_values and power_study is accepted and ignored.
+critical_values is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -447,20 +447,14 @@ def run_test(
         table._check_config(cfg)
     stat = statistic(s, cfg.order, cfg.variant)
     n = s.n
-    simulated = False
-    cv = None
-    if table is not None:
-        try:
-            cv = table.value(n, cfg.level)
-        except MissingTableEntryError:
-            if not simulate_missing:
-                raise
-    if cv is None:
-        if table is None and not simulate_missing:
+    try:
+        if table is None:
             raise MissingTableEntryError("no table supplied and simulation disabled")
-        own = critical_values([n], (cfg.level,), cfg)
-        cv = own.value(n, cfg.level)
-        simulated = True
+        cv, simulated = table.value(n, cfg.level), False
+    except MissingTableEntryError:
+        if not simulate_missing:
+            raise
+        cv, simulated = critical_values([n], (cfg.level,), cfg).value(n, cfg.level), True
     return TestOutcome(
         n=n,
         level=cfg.level,
@@ -477,14 +471,12 @@ def power_study(
     levels=DEFAULT_LEVELS,
     cfg: TestConfig | None = None,
     table: CriticalTable | None = None,
-    workers: int = 1,
 ) -> list[PowerResult]:
     """Rejection rate against an alternative distribution.
 
     Draws cfg.replications samples from `alt` per n (on substreams disjoint
     from the null ones) and counts T below the critical value.  When no
-    table is supplied one is simulated under cfg first.  workers is
-    accepted and ignored.
+    table is supplied one is simulated under cfg first.
     """
     cfg = cfg or TestConfig()
     levels = tuple(float(v) for v in levels)

@@ -252,6 +252,13 @@ def test_integrate_falls_back_to_quad_per_element():
     assert got[1] == want
 
 
+def test_quad_fallback_short_of_rel_tol_raises():
+    # Gamma(60)'s window loses its mass next to t (ROADMAP item 10), so quad
+    # too falls short: a typed error, not a value 2.1e-4 off and a warning
+    with pytest.raises(QuadratureError, match="quad fell short of rtol 1e-10"):
+        survival_integral(Gamma(60.0), 0.51, 0.0, "quadrature", weighted=False)
+
+
 def test_pareto_boundary_case_meets_rel_tol():
     # shape * gamma = 2.3 leaves about v**-0.98 at the window's open end,
     # where tanh-sinh stops at its last level and the quad fallback takes over
@@ -491,7 +498,8 @@ def test_gdwfe_where_the_cdf_rounds_to_one(t):
     # past x = 60 the cdf of Exponential(1) is 1 to far below an ulp of the
     # integral, whose tail there is (t**2 - 3600) / 2 exactly; as sf(t) nears
     # 0 the window's upper half, run in sf from sf(t) up, loses that stretch:
-    # 690 gave 9.3723 with an IntegrationWarning, 1000 a QuadratureError
+    # 690 once gave 9.3723 with an IntegrationWarning and now raises
+    # QuadratureError as quad falls short, 1000 a QuadratureError (not finite)
     head = quad(lambda x: x * (-math.expm1(-x)) ** ORD.gamma, 0.0, 60.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
     want = math.log(head + (t * t - 3600.0) / 2.0) / ORD.delta
     assert gdwfe(Exponential(1.0), ORD, t).value == pytest.approx(want, rel=1e-12, abs=0.0)
