@@ -127,7 +127,7 @@ class Distribution:
 
     def hazard(self, t: float) -> float:
         """Failure rate pdf(t) / sf(t); defined where sf(t) > 0."""
-        _require(not math.isnan(t), "hazard undefined at t=nan")  # some families' sf(nan) is 1
+        _require(not math.isnan(t), "hazard undefined at t=nan")  # sf(nan) is nan, not zero
         _require(float(self.sf(t)) > 0.0, f"hazard undefined at t={t}: survival is zero")
         return float(self._hazard(t))
 
@@ -239,19 +239,19 @@ class Pareto(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x >= self.scale
-        xs = np.where(inside, x, self.scale)
+        below = x < self.scale  # NaN is not below: it stays NaN
+        xs = np.where(below, self.scale, x)
         with np.errstate(over="ignore", invalid="ignore"):  # scale ** shape, xs ** (shape + 1) past the float range
-            return np.where(inside, self.shape * np.float64(self.scale) ** self.shape / xs ** (self.shape + 1.0), 0.0)
+            return np.where(below, 0.0, self.shape * np.float64(self.scale) ** self.shape / xs ** (self.shape + 1.0))
 
     def cdf(self, x):
         return 1.0 - self.sf(x)
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x >= self.scale
-        xs = np.where(inside, x, self.scale)
-        return np.where(inside, (self.scale / xs) ** self.shape, 1.0)
+        below = x < self.scale
+        xs = np.where(below, self.scale, x)
+        return np.where(below, 1.0, (self.scale / xs) ** self.shape)
 
     def _quantile(self, u):
         with np.errstate(over="ignore"):  # inf where the quantile passes the float range
@@ -265,11 +265,11 @@ class Pareto(Distribution):
 
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > self.scale, self.shape * np.log(self.scale / np.maximum(x, self.scale)), 0.0)
+        return np.where(x <= self.scale, 0.0, self.shape * np.log(self.scale / np.maximum(x, self.scale)))
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= self.scale, self.shape / np.maximum(x, self.scale), 0.0)
+        return np.where(x < self.scale, 0.0, self.shape / np.maximum(x, self.scale))
 
     def _check_tail(self, g, weighted=True):
         need = 2.0 if weighted else 1.0
@@ -300,7 +300,7 @@ class Uniform(Distribution):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lower) & (x <= self.upper)
-        return np.where(inside, 1.0 / self._width(), 0.0)
+        return np.where(inside, 1.0 / self._width(), np.where(np.isnan(x), np.nan, 0.0))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -341,10 +341,10 @@ class Power(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= self.upper)
-        xs = np.where(inside, x, self.upper)
+        outside = (x < 0.0) | (x > self.upper)  # NaN is not outside: it stays NaN
+        xs = np.where(outside, self.upper, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf at 0 for shape < 1; upper ** shape
-            return np.where(inside, self.shape * xs ** (self.shape - 1.0) / np.float64(self.upper) ** self.shape, 0.0)
+            return np.where(outside, 0.0, self.shape * xs ** (self.shape - 1.0) / np.float64(self.upper) ** self.shape)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -402,10 +402,10 @@ class Weibull(_HazardForm):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x >= 0.0  # 0 ** (shape - 1) is the right limit at 0: inf, 1 or 0
-        xs = np.where(inside, x, 1.0)
+        below = x < 0.0  # 0 ** (shape - 1) is the right limit at 0: inf, 1 or 0; NaN stays NaN
+        xs = np.where(below, 1.0, x)
         with np.errstate(divide="ignore"):
-            return np.where(inside, self.shape * xs ** (self.shape - 1.0) * np.exp(-(xs**self.shape)), 0.0)
+            return np.where(below, 0.0, self.shape * xs ** (self.shape - 1.0) * np.exp(-(xs**self.shape)))
 
     def _isf_log(self, log_v):
         return (-log_v) ** (1.0 / self.shape)
@@ -413,13 +413,13 @@ class Weibull(_HazardForm):
     def _log_sf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # -inf where x ** shape overflows, and sf = 0
-            return -(np.where(x > 0.0, x, 0.0) ** self.shape)
+            return -(np.where(x <= 0.0, 0.0, x) ** self.shape)
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x >= 0.0
+        below = x < 0.0
         with np.errstate(divide="ignore"):
-            return np.where(inside, self.shape * np.where(inside, x, 1.0) ** (self.shape - 1.0), 0.0)
+            return np.where(below, 0.0, self.shape * np.where(below, 1.0, x) ** (self.shape - 1.0))
 
 
 class Gamma(Distribution):
@@ -439,16 +439,16 @@ class Gamma(Distribution):
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x > 0.0
-        return np.where(inside, np.exp(self._log_pdf(np.where(inside, x, 1.0))), self._outside(x))
+        outside = x <= 0.0  # NaN is not outside: it stays NaN
+        return np.where(outside, self._outside(x), np.exp(self._log_pdf(np.where(outside, 1.0, x))))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return _special().gammainc(self.shape, np.where(x > 0.0, x, 0.0))
+        return _special().gammainc(self.shape, np.where(x <= 0.0, 0.0, x))
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        return _special().gammaincc(self.shape, np.where(x > 0.0, x, 0.0))
+        return _special().gammaincc(self.shape, np.where(x <= 0.0, 0.0, x))
 
     def _quantile(self, u):
         return _special().gammaincinv(self.shape, u)
@@ -468,9 +468,9 @@ class Gamma(Distribution):
 
     def _hazard(self, x):
         x = np.asarray(x, dtype=float)
-        inside = x > 0.0
-        xs = np.where(inside, x, 1.0)
-        return np.where(inside, np.exp(self._log_pdf(xs) - self._log_sf(xs)), self._outside(x))
+        outside = x <= 0.0
+        xs = np.where(outside, 1.0, x)
+        return np.where(outside, self._outside(x), np.exp(self._log_pdf(xs) - self._log_sf(xs)))
 
     def _isf_log(self, log_v):
         log_v = np.asarray(log_v, dtype=float)
@@ -602,7 +602,7 @@ class ProportionalHazards(_HazardForm):
     def pdf(self, x):
         s = self.sf(x)
         with np.errstate(invalid="ignore"):  # the base hazard is inf at a finite top
-            return np.where(s > 0.0, self.theta * s * self.base._hazard(x), 0.0)
+            return np.where(s <= 0.0, 0.0, self.theta * s * self.base._hazard(x))
 
     def _log_sf(self, x):
         with np.errstate(over="ignore"):  # -inf where theta * log base sf overflows, and sf = 0
@@ -633,8 +633,8 @@ class ProportionalReverseHazards(Distribution):
 
     def pdf(self, x):
         c = np.asarray(self.base.cdf(x), dtype=float)
-        pos = c > 0.0
-        return np.where(pos, self.theta * np.where(pos, c, 1.0) ** (self.theta - 1.0) * self.base.pdf(x), 0.0)
+        zero = c <= 0.0  # NaN is not zero: it stays NaN
+        return np.where(zero, 0.0, self.theta * np.where(zero, 1.0, c) ** (self.theta - 1.0) * self.base.pdf(x))
 
     def cdf(self, x):
         return np.asarray(self.base.cdf(x), dtype=float) ** self.theta

@@ -13,8 +13,10 @@ Both estimators, gof.statistic and the replication engine reduce through one
 kernel, _gap_sums, which streams the sorted sample in chunks of at most
 _CHUNK_VALUES gaps along numpy's pairwise-summation tree and forms both
 sides in the same pass; its memory beyond the sample is a few chunks at any
-n.  A Sample keeps both sides' totals of each gamma it was asked for and adds
-the head x_(1)**2 / 2 on read, so both estimators, both variants and
+n.  A sample whose gaps fit in one chunk reads each side's weights from a
+read-only cache of the last _WEIGHT_ENTRIES keys (n, gamma, side), 1 MiB at
+most.  A Sample keeps both sides' totals of each gamma it was asked for and
+adds the head x_(1)**2 / 2 on read, so both estimators, both variants and
 gof.statistic on one sample cost one kernel pass per gamma.
 
 sample draws through the SeededSampler of gwentropy._random, the one owner
@@ -25,6 +27,7 @@ replication engine draws on the same key.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -46,11 +49,15 @@ __all__ = [
 class Sample:
     """A nonnegative data vector, stored sorted.
 
-    Accepts any one-dimensional sequence; values must be finite and >= 0.
+    Accepts any one-dimensional sequence of bool, integer or float dtype;
+    values must be finite and >= 0.
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":  # complex parts would be dropped, strings parsed
+            raise GwentropyError("sample values must be real numbers")
+        arr = arr.astype(float, copy=False)
         if arr.ndim > 1:
             raise GwentropyError("sample must be one-dimensional")
         arr = np.sort(arr, axis=None)
@@ -124,9 +131,11 @@ def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:
 
 # gaps per chunk of the estimator kernel, whose temporaries stay in cache at
 # any n; values (rows x n) per block of the replication engine (gof._replicate),
-# twice a chunk so that each array Philox call covers twice the counters
+# twice a chunk so that each array Philox call covers twice the counters; the
+# one-leaf weight arrays kept by _leaf_weights, of at most a chunk each: 1 MiB
 _CHUNK_VALUES = 16384
 _BLOCK_VALUES = 2 * _CHUNK_VALUES
+_WEIGHT_ENTRIES = 8
 
 
 def _gap_sums(x: np.ndarray, gamma: float, sides: tuple[bool, ...]) -> list[np.ndarray]:
@@ -145,31 +154,46 @@ def _gap_sums(x: np.ndarray, gamma: float, sides: tuple[bool, ...]) -> list[np.n
     chunk buffers and reduced by .sum(axis=-1), numpy's pairwise sum of that
     node.  So every total has the bits of the whole array's
     terms.sum(axis=-1), and a row's those of its sample reduced on its own.
+    Where the n - 1 gaps are one leaf, their weights, formed by the same
+    operations, come from _leaf_weights; a larger sample forms them per leaf.
     """
     n = x.shape[-1]
     width = min(n - 1, _CHUNK_VALUES)
     squares = np.empty(x.shape[:-1] + (width + 1,))  # the squares, then a side's terms
     gaps = np.empty(x.shape[:-1] + (width,))
-    last = len(sides) - 1
 
     def leaf(lo: int, m: int) -> list[np.ndarray]:
         xc = x[..., lo : lo + m + 1]
         sq = np.multiply(xc, xc, out=squares[..., : m + 1])
         g = np.subtract(sq[..., 1:], sq[..., :-1], out=gaps[..., :m])
         g *= 0.5
-        q = np.arange(lo + 1, lo + m + 1, dtype=float)
-        q /= n
-        totals = []
-        for k, survival in enumerate(sides):
-            # the last side's weights and terms overwrite i/n and the gaps
-            w = q if k == last else q.copy()
-            if survival:
-                np.subtract(1.0, w, out=w)
-            w **= gamma
-            totals.append(np.multiply(g, w, out=g if k == last else squares[..., :m]).sum(axis=-1))
-        return totals
+        weights = [_leaf_weights(n, gamma, s) for s in sides] if m == n - 1 else _weights(lo, m, n, gamma, sides)
+        # the last side's terms overwrite the gaps
+        return [np.multiply(g, w, out=g if k == len(sides) - 1 else squares[..., :m]).sum(axis=-1) for k, w in enumerate(weights)]
 
     return _pairwise(leaf, 0, n - 1)
+
+
+def _weights(lo: int, m: int, n: int, gamma: float, sides: tuple[bool, ...]) -> list[np.ndarray]:
+    """Each side's weights, (1 - i/n) ** gamma or (i/n) ** gamma, over the
+    gaps i = lo + 1 .. lo + m; i/n is formed once, the last side's in place."""
+    q = np.arange(lo + 1, lo + m + 1, dtype=float)
+    q /= n
+    out = [q.copy() for _ in sides[1:]] + [q]
+    for w, survival in zip(out, sides):
+        if survival:
+            np.subtract(1.0, w, out=w)
+        w **= gamma
+    return out
+
+
+@functools.lru_cache(maxsize=_WEIGHT_ENTRIES)
+def _leaf_weights(n: int, gamma: float, survival: bool) -> np.ndarray:
+    """One side's read-only weights over the n - 1 gaps of a one-leaf sample,
+    shared by the samples of one size and by the blocks of an engine row."""
+    (w,) = _weights(0, n - 1, n, gamma, (survival,))
+    w.flags.writeable = False
+    return w
 
 
 def _pairwise(leaf, lo: int, m: int) -> list[np.ndarray]:

@@ -1,7 +1,9 @@
 """Empirical estimators from order statistics."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +53,28 @@ def test_sample_validation():
         Sample([1.0, math.inf])
     with pytest.raises(GwentropyError, match="one-dimensional"):
         Sample(np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
+
+
+def test_sample_rejects_complex_input():
+    # the imaginary parts were dropped with a ComplexWarning
+    with pytest.raises(GwentropyError, match="^sample values must be real numbers$"):
+        Sample(np.array([1 + 2j, 3]))
+
+
+def test_sample_rejects_non_numeric_input():
+    # a bare ValueError came out of the float conversion
+    with pytest.raises(GwentropyError, match="^sample values must be real numbers$"):
+        Sample(["a"])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[True, False], [3, 1, 2], np.array([7, 2**62], dtype=np.uint64), np.float32([2.5, 0.1]), [0.3, 2, 1e-300], 4.0],
+    ids=["bool", "int", "uint64", "float32", "mixed", "scalar"],
+)
+def test_sample_keeps_the_bits_of_accepted_dtypes(values):
+    expected = np.sort(np.asarray(values, dtype=float), axis=None)
+    np.testing.assert_array_equal(Sample(values).values.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -198,6 +222,87 @@ def test_estimator_peak_memory_does_not_grow_with_n(traced_peak, estimate):
     s = Sample(x)
     peak = traced_peak(lambda: estimate(s))
     assert peak <= 1.0, f"traced peak {peak:.3f} MiB against a bound of 1 MiB"
+
+
+# ---------- one-leaf weight cache ----------
+
+_POOL = 3  # a few values of n and gamma per example, so that keys repeat and share parts
+
+
+@given(
+    ns=st.lists(st.integers(2, _CHUNK_VALUES + 1), min_size=_POOL, max_size=_POOL),
+    gammas=st.lists(st.floats(1e-3, 20.0), min_size=_POOL, max_size=_POOL),
+    steps=st.lists(st.tuples(st.integers(0, _POOL - 1), st.integers(0, _POOL - 1), st.booleans()), min_size=1, max_size=12),
+)
+# keys that differ in n alone, in gamma alone and in the side alone; the last
+# holds more keys than the cache, then reads the first again
+@example(ns=[20, 30, 2], gammas=[ORD.gamma, 2.0, 0.5], steps=[(0, 0, True), (1, 0, True), (0, 0, True)])
+@example(ns=[20, 30, 2], gammas=[ORD.gamma, 2.0, 0.5], steps=[(0, 0, False), (0, 1, False), (0, 0, False)])
+@example(ns=[_CHUNK_VALUES + 1, 30, 2], gammas=[ORD.gamma, 2.0, 0.5], steps=[(0, 0, True), (0, 0, False), (0, 0, True)])
+@example(
+    ns=[5000, 30, 2],
+    gammas=[ORD.gamma, 2.0, 0.5],
+    steps=[(i, j, side) for i in range(3) for j in range(2) for side in (True, False)] + [(0, 0, True)],
+)
+def test_weight_cache_keys_on_n_gamma_and_side(ns, gammas, steps):
+    empirical._leaf_weights.cache_clear()
+    for i, j, survival in steps:
+        x = _sorted_exponential((2, ns[i]), i)
+        np.testing.assert_array_equal(
+            _gap_sums(x, gammas[j], (survival,))[0], _gap_sums_reference(x, gammas[j], survival, False), strict=True
+        )
+        assert empirical._leaf_weights.cache_info().currsize <= empirical._WEIGHT_ENTRIES
+
+
+def test_cached_weights_are_read_only():
+    w = empirical._leaf_weights(20, ORD.gamma, True)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def _weight_builds(monkeypatch) -> list:
+    """Record every weight build from here on: its n, its sides and weak
+    references to the arrays it returned."""
+    builds, builder = [], empirical._weights
+
+    def recorded(lo, m, n, gamma, sides):
+        out = builder(lo, m, n, gamma, sides)
+        builds.append((n, sides, [weakref.ref(w) for w in out]))
+        return out
+
+    monkeypatch.setattr(empirical, "_weights", recorded)
+    return builds
+
+
+def test_one_size_forms_its_weights_once_per_side(monkeypatch):
+    empirical._leaf_weights.cache_clear()
+    builds = _weight_builds(monkeypatch)
+    gen = SeededSampler(8, 0).generator()
+    for _ in range(200):
+        s = Sample(gen.exponential(size=5000))
+        empirical_gwse(s, ORD), empirical_gwfe(s, ORD), statistic(s, ORD)
+    assert [(n, sides) for n, sides, _ in builds] == [(5000, (True,)), (5000, (False,))]
+    # a sample one gap past a leaf forms its weights per leaf and keeps none
+    empirical_gwse(Sample(gen.exponential(size=_CHUNK_VALUES + 2)), ORD)
+    assert empirical._leaf_weights.cache_info().currsize == 2
+    assert {n for n, _, _ in builds[2:]} == {_CHUNK_VALUES + 2}
+
+
+def test_weight_cache_stays_within_its_entries_and_bytes(monkeypatch):
+    # the property's examples, then twice as many keys of a full leaf as the
+    # cache holds; the arrays still alive are the cache's, since the kernel
+    # returns only totals
+    builds = _weight_builds(monkeypatch)
+    test_weight_cache_keys_on_n_gamma_and_side()
+    for n in range(_CHUNK_VALUES + 1, _CHUNK_VALUES + 1 - empirical._WEIGHT_ENTRIES, -1):
+        _gap_sums(_sorted_exponential(n, 0), ORD.gamma, (True, False))
+    gc.collect()
+    refs = [r for _, _, refs in builds for r in refs]
+    kept = [w for w in (r() for r in refs) if w is not None]
+    assert len(refs) > empirical._WEIGHT_ENTRIES
+    assert len(kept) == empirical._leaf_weights.cache_info().currsize <= empirical._WEIGHT_ENTRIES == 8
+    assert sum(w.nbytes for w in kept) <= 2**20
 
 
 # ---------- kept gap sums ----------

@@ -676,8 +676,8 @@ def test_dynamic_domain_guards():
     ids=["gamma", "weibull", "affine-gamma", "exponential", "uniform"],
 )
 def test_nan_t_is_rejected(d):
-    # Gamma's and Weibull's sf clamp x below 0 by a comparison NaN fails, so
-    # sf(nan) reads 1 and an unchecked gdwse(nan) is the static gwse
+    # a NaN t is rejected by name before any function of the distribution
+    # reads it
     calls = [
         lambda: gdwse(d, ORD, math.nan),
         lambda: gdwfe(d, ORD, math.nan),
