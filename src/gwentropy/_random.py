@@ -7,8 +7,13 @@ has on its own: uniforms by numpy's next_double, and Gamma values by the
 squeeze-free Marsaglia-Tsang method (J. Stat. Softw. 5(8), 2000) on normals
 from an array port of numpy's ziggurat, over a read-only block of each
 stream's first words and any word past it computed where it is read.  The
-rest of the package uses only SeededSampler, stream_words and its limits
-N_LIMIT and B_LIMIT, uniforms, gammas and gamma_row."""
+normals of all rows are read in one pass: every word that misses the
+ziggurat's fast path is a candidate, all candidates take the slow path in
+one call, a candidate that an earlier slow word reads as a double is
+dropped, one gather places every row's outputs, and the rows left short
+draw the rest in one more call on those rows.  The rest of the package
+uses only SeededSampler, stream_words and its limits N_LIMIT and B_LIMIT,
+uniforms, gammas and gamma_row."""
 
 from __future__ import annotations
 
@@ -375,9 +380,16 @@ def _fast_normals(w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple[
     return out, slow
 
 
-def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ranges [start[i], start[i] + count[i]), one after another."""
-    return np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+def _runs(start: np.ndarray, count: np.ndarray, out=None) -> np.ndarray:
+    """The ranges [start[i], start[i] + count[i]) of counts > 0, one after
+    another, into out (new if not given): a running sum of steps of 1 with,
+    at each range's first place, the jump from the previous range's last."""
+    if out is None:
+        out = np.empty(count.sum(), dtype=np.int64)
+    out.fill(1)
+    out[np.cumsum(count[:-1])] = start[1:] - (start[:-1] + count[:-1] - 1)
+    out[:1] = start[:1]
+    return np.cumsum(out, out=out)
 
 
 class _WordBuffer:
@@ -408,15 +420,10 @@ class _WordBuffer:
         at each row's first word, the jump from the previous row's last.  A
         row that reads past the block then takes its words from at."""
         width = self.words.shape[1]
-        first = rows * width + pos
-        starts = np.cumsum(k) - k
-        idx.fill(1)
-        first[1:] -= first[:-1] + (k[:-1] - 1)
-        idx[starts] = first
-        self.words.take(np.cumsum(idx, out=idx), out=w, mode="clip")
+        self.words.take(_runs(rows * width + pos, k, idx), out=w, mode="clip")
         over = np.flatnonzero(pos + k > width)
         if over.size:
-            w[_runs(starts[over], k[over])] = self.at(np.repeat(rows[over], k[over]), _runs(pos[over], k[over]))
+            w[_runs((np.cumsum(k) - k)[over], k[over])] = self.at(np.repeat(rows[over], k[over]), _runs(pos[over], k[over]))
         return w
 
     def doubles(self, rows: np.ndarray, pos: np.ndarray, k: np.ndarray, out, scratch) -> np.ndarray:
@@ -428,52 +435,75 @@ class _WordBuffer:
         numpy's Generator.standard_normal draws them, flattened row by row;
         and the word position after each row's last one.
 
-        The k[i] words from pos[i] on are read as fast-path normals, and the
-        slow words among them are taken in word order, one per row per pass.
-        A slow word's normal, if it makes one, replaces its fast value, and
-        the words it reads move the rest of its row's outputs along by the
-        words it reads less the normal it makes; one gather then puts every
-        value in its output.  The outputs moved past a row's words read are
-        drawn by a call on those rows alone."""
+        The k[i] words from pos[i] on are read as fast-path normals, in one
+        pass.  Every word among them that misses the fast path is a
+        candidate, and _place_slow takes all candidates down the slow path
+        at once and places every output.  The rows whose words read make
+        fewer than k[i] outputs draw the rest in one call on those rows
+        alone."""
         idx, w = scratch
-        out, slow = _fast_normals(self._gather(rows, pos, k, idx, w), out, idx)
+        slow = np.flatnonzero(_fast_normals(self._gather(rows, pos, k, idx, w), out, idx)[1])
         end = np.cumsum(k)
-        dst = end - k
-        slow = np.append(np.flatnonzero(slow), end[-1])  # the slow words' flat places, and a sentinel
-        done, read, moved = np.zeros((3, rows.size), dtype=np.int64)  # a row's outputs, words and moves so far
-        live, moves = np.unique(np.searchsorted(end, slow[:-1], side="right")), []  # the rows with a slow word
-        while live.size:
-            f = slow.take(np.searchsorted(slow, dst[live] + read[live]), mode="clip") - dst[live]  # the next slow word
-            live, f = live[f < k[live]], f[f < k[live]]
-            if not live.size:
-                break
-            made, x, used = self._slow_normals(rows[live], pos[live] + f)
-            out[dst[live[made]] + f[made]] = x[made]
-            done[live] += f - read[live] + made
-            read[live] = f + used
-            more = done[live] < k[live]  # a full row moves no output
-            live, step = live[more], (used - made)[more]
-            moves.append((dst[live] + done[live], step))
-            moved[live] += step
-        if moves:
-            # each output's value: a running sum of steps of 1, the moves, and
-            # at each row's first output the jump from the previous row's last
-            idx.fill(1)
-            idx[0] = 0
-            idx[dst[1:]] -= moved[:-1]
-            for at, step in moves:
-                idx[at] += step
-            np.copyto(out, out.take(np.cumsum(idx, out=idx), out=w.view(np.float64), mode="clip"))
-        p = pos + np.maximum(read, k)
-        short = np.minimum(read, k) - done
-        rest = np.flatnonzero(short)
-        if rest.size:
-            count = short[rest]
-            z, i, u = np.empty((3, count.sum()), dtype=np.int64)
-            out[_runs(end[rest] - count, count)], p[rest] = self.normals(
-                rows[rest], p[rest], count, z.view(np.float64), (i, u.view(np.uint64))
-            )
+        p = pos + k
+        if slow.size:
+            r, over, short = self._place_slow(rows, pos, k, end, slow, out, scratch)
+            p[r] += over
+            rest = np.flatnonzero(short)
+            if rest.size:
+                r, count = r[rest], short[rest]
+                z, i, u = np.empty((3, count.sum()), dtype=np.int64)
+                out[_runs(end[r] - count, count)], p[r] = self.normals(
+                    rows[r], p[r], count, z.view(np.float64), (i, u.view(np.uint64))
+                )
         return out, p
+
+    def _place_slow(self, rows, pos, k, end, c, out, scratch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Take the slow words at flat places c of normals' words, in one
+        call, and place every output in out; return the rows with a slow
+        word, the words each reads past its k[i], and the outputs its words
+        read do not make.
+
+        A candidate that an earlier slow word of its row reads as its wedge
+        double or a tail pair is consumed, not a normal's word, and is
+        dropped: a running maximum of the kept candidates' ends (the word
+        after the last one each reads, capped at its row's end) is taken
+        until the kept set holds still.  A kept word's normal, if it makes
+        one, replaces its fast value, and the words it reads move its row's
+        later outputs along by the words it reads less the normal it makes;
+        one gather over the moved outputs, through the scratch pair, then
+        puts every value in place."""
+        r = np.searchsorted(end, c, side="right")
+        made, x, used = self._slow_normals(rows[r], pos[r] + k[r] - end[r] + c)
+        stop = np.minimum(c + used, end[r])
+        kept = np.ones(c.size, dtype=bool)
+        while True:
+            # rows lie in flat order and each end is capped at its row's: one
+            # running maximum over every row, with no segments
+            reach = np.maximum.accumulate(np.where(kept, stop, 0))
+            now = np.append(True, c[1:] >= reach[:-1])
+            if np.array_equal(now, kept):
+                break
+            kept = now
+        c, r, made, x, used = c[kept], r[kept], made[kept], x[kept], used[kept]
+        out[c[made]] = x[made]
+        step = used - made  # at least 1, so the running sum rises strictly
+        moved = np.cumsum(step)
+        first = np.append(True, r[1:] != r[:-1])
+        moved -= np.maximum.accumulate(np.where(first, moved - step, 0))  # each word's move with its row's earlier ones
+        at = c + made - (moved - step)  # the output after the word's own
+        last = np.flatnonzero(np.append(first[1:], True))
+        upto = np.append(at[1:], 0)
+        upto[last] = end[r[last]]
+        # the outputs from each word's to the next's, or its row's end, read
+        # the word that many places on; past the words a row read, they read
+        # anything, and normals' call on the short rows writes over them
+        seg = np.flatnonzero(upto - at)
+        count = (upto - at)[seg]
+        idx, w = scratch[0][: count.sum()], scratch[1][: count.sum()]
+        value = out.take(_runs((at + moved)[seg], count, idx), out=w.view(np.float64), mode="clip")
+        out[_runs(at[seg], count, idx)] = value
+        over = np.maximum(c[last] + used[last] - end[r[last]], 0)
+        return r[last], over, moved[last] - over
 
     def _slow_normals(self, rows: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slow path of the ziggurat word at pos[i] of row rows[i]: whether

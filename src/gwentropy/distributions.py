@@ -222,7 +222,8 @@ class Exponential(_HazardForm):
             return np.where(x < 0.0, 0.0, -self.rate * x)
 
     def _hazard(self, x):
-        return np.where(np.asarray(x, dtype=float) < 0.0, 0.0, self.rate)
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, np.where(np.isnan(x), np.nan, self.rate))
 
     def _survival_closed(self, g, t, weighted):
         lg = self.rate * g

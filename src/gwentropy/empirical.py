@@ -54,7 +54,10 @@ class Sample:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values)
+        try:
+            arr = np.asarray(values)
+        except ValueError as exc:  # a ragged nesting, which numpy calls inhomogeneous
+            raise GwentropyError("sample must be one-dimensional") from exc
         if arr.dtype.kind not in "biuf":  # complex parts would be dropped, strings parsed
             raise GwentropyError("sample values must be real numbers")
         arr = arr.astype(float, copy=False)

@@ -53,6 +53,8 @@ def test_sample_validation():
         Sample([1.0, math.inf])
     with pytest.raises(GwentropyError, match="one-dimensional"):
         Sample(np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
+    with pytest.raises(GwentropyError, match="^sample must be one-dimensional$"):
+        Sample([[1], [1, 2]])  # ragged: numpy's bare ValueError came out
 
 
 def test_sample_rejects_complex_input():
