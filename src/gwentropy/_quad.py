@@ -19,8 +19,10 @@ singularities at the ends; all windows of a call, here and in the bounds of
 double-exponential (tanh-sinh) quadrature (Takahasi & Mori, 1974) with
 Bailey's error estimate (Bailey, Jeyabalan & Li, 2005), written here in numpy
 on scipy's node tables and stopping rule: levels 0-3 of an elementwise
-integrand are one vectorized call, and each further level one more.  ``quad``
-takes an element still short of ``REL_TOL``, or raises ``QuadratureError``.
+integrand are one vectorized call, and each further level one more, from
+node tables made at import.  One masked evaluation serves the rule and
+``quad``, which takes an element still short of ``REL_TOL``, or raises
+``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ def _level_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LEVELS = [_level_nodes(k) for k in range(_MAX_LEVEL + 1)]
-# levels 0 to _MIN_LEVEL in one table, and where levels 0-1 and 0-2 end in it
-_FIRST = tuple(np.concatenate(parts) for parts in zip(*_LEVELS[: _MIN_LEVEL + 1]))
-_FIRST_ENDS = np.cumsum([len(c) for c, _ in _LEVELS[:_MIN_LEVEL]])[1:]
+# each pass's offsets -c, c from the limits b, a (in half-widths) and weights, in the
+# (half, node) layout; the first pass takes levels 0-3, in which 0-1 and 0-2 end at _FIRST_ENDS
+_PASSES = [(np.stack((-c, c)), np.stack((w, w))) for c, w in [map(np.concatenate, zip(*_LEVELS[: _MIN_LEVEL + 1])), *_LEVELS[_MIN_LEVEL + 1 :]]]
+_FIRST_ENDS = np.cumsum([len(c) for c, _ in _LEVELS[:_MIN_LEVEL]])[1:].tolist()
+_SIGNS = np.array([[1.0], [-1.0]])  # of each half's abscissa in the reach key: larger is further out
 
 
 def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarray:
@@ -77,69 +81,74 @@ def integrate(f: Callable[..., np.ndarray], a, b, args: tuple = ()) -> np.ndarra
     that rounds onto a limit gets zero weight and is evaluated at the
     midpoint.  A value of f that is not finite, or a quad result short of
     REL_TOL (with its estimate and error estimate), raises QuadratureError.
+
+    A pass forms its nodes on (elements, 2 halves, nodes) from its level's
+    tables, and the mask of those that round onto a limit once, for their
+    weights and the evaluation, which the quad fallback shares.
     """
     a, b, *args = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float), *args)
     shape = a.shape
     a, b, *args = (v.reshape(-1, 1) for v in (a, b, *args))
+    # per element: its limits (right half's, left half's), half-width and midpoint
+    lim, half, mid = np.concatenate((b, a), axis=1)[..., None], ((b - a) / 2.0)[..., None], (a + b) / 2.0
 
-    def inside(x, a, b, *args):
-        edge = (x <= a) | (x >= b)
-        fx = f(np.where(edge, (a + b) / 2.0, x), *args)
-        bad = np.size(fx) - np.count_nonzero(np.isfinite(fx))
-        if bad:
-            raise QuadratureError(f"integrand is not finite at {bad} of {np.size(fx)} nodes")
+    def inside(x, edge, mid, *args):
+        fx = f(np.where(edge, mid, x), *args)
+        if not (finite := np.isfinite(fx)).all():
+            raise QuadratureError(f"integrand is not finite at {np.size(fx) - np.count_nonzero(finite)} of {np.size(fx)} nodes")
         return np.where(edge, 0.0, fx)
 
-    out = np.empty(a.shape[0])
-    live = np.arange(a.shape[0])
+    out = np.empty(lim.shape[0])
+    live = np.arange(lim.shape[0])
     # per element and half (right, left): the signed abscissa of the outermost
     # weighted node so far, and its |f w|, the d4 term of the error estimate
     reach = np.full((live.size, 2), -np.inf)
     tail = np.full((live.size, 2), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for level in range(_MIN_LEVEL, _MAX_LEVEL + 1) if live.size else ():
-            c, w = _FIRST if level == _MIN_LEVEL else _LEVELS[level]
-            n, half = live.size, (b - a) / 2.0
-            x = np.concatenate((b - half * c, a + half * c), axis=1)
-            wj = np.where((x <= a) | (x >= b), 0.0, np.concatenate((w, w)) * half)
-            fw = inside(x, a, b, *args) * wj
+            offsets, w = _PASSES[level - _MIN_LEVEL]
+            n, m = live.size, offsets.shape[1]
+            x = lim + half * offsets
+            edge = (x <= lim[:, 1:]) | (x >= lim[:, :1])
+            wj = np.where(edge, 0.0, w * half)
+            fw = inside(x.reshape(n, -1), edge.reshape(n, -1), mid, *args).reshape(n, 2, m) * wj
 
             # the outermost weighted node of each half at this level, by flat index
-            key = np.where((wj != 0.0).reshape(n, 2, -1), x.reshape(n, 2, -1) * [[1.0], [-1.0]], -np.inf)
-            at = np.argmax(key, axis=2) + key.shape[2] * np.arange(2 * n).reshape(n, 2)
-            further = np.take(key, at) > reach
-            reach = np.where(further, np.take(key, at), reach)
-            tail = np.where(further, np.abs(np.take(fw, at)), tail)
+            key = np.where(wj != 0.0, x * _SIGNS, -np.inf)
+            at = key.argmax(axis=2) + np.arange(0, key.size, m).reshape(n, 2)
+            outer = key.take(at)
+            further = outer > reach
+            reach = np.where(further, outer, reach)
+            tail = np.where(further, np.abs(fw.take(at)), tail)
 
             # Euler-Maclaurin sums at this level (s) and the two before it
             h = _H0 / 2**level
             if level == _MIN_LEVEL:
-                by_half = fw.reshape(n, 2, -1)
-                s2 = np.sum(by_half[..., : _FIRST_ENDS[0]].reshape(n, -1), axis=-1) * (4 * h)
-                s1 = np.sum(by_half[..., : _FIRST_ENDS[1]].reshape(n, -1), axis=-1) * (2 * h)
-                s = np.sum(fw, axis=-1) * h
+                s2 = fw[..., : _FIRST_ENDS[0]].reshape(n, -1).sum(axis=-1) * (4 * h)
+                s1 = fw[..., : _FIRST_ENDS[1]].reshape(n, -1).sum(axis=-1) * (2 * h)
+                s = fw.reshape(n, -1).sum(axis=-1) * h
             else:
-                s2, s1, s = s1, s, s / 2 + np.sum(fw, axis=-1) * h
+                s2, s1, s = s1, s, s / 2 + fw.reshape(n, -1).sum(axis=-1) * h
             # Bailey's error estimate, max(d1**(log d1 / log d2), d1**2, d3,
             # d4) clipped to [eps |s|, d1]
-            d1, d2 = np.abs(s - s1), np.abs(s - s2)
-            d3 = _EPS * np.max(np.abs(fw), axis=-1)
-            d4 = np.max(tail, axis=-1)
-            err = np.maximum(np.maximum(np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0), d1**2), np.maximum(d3, d4))
-            done = np.clip(err, _EPS * np.abs(s), d1) / np.abs(s) < REL_TOL
-            out[live[done]] = s[done]
+            d1, d2, size = np.abs(s - s1), np.abs(s - s2), np.abs(s)
+            d3 = _EPS * np.abs(fw).reshape(n, -1).max(axis=-1)
+            err = np.maximum(np.maximum(np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0), d1**2), np.maximum(d3, tail.max(axis=-1)))
+            done = np.minimum(np.maximum(err, _EPS * size), d1) / size < REL_TOL
+            out[live] = s  # final where done; a later pass or quad overwrites the rest
 
             keep = ~done
             live = live[keep]
             if not live.size:
                 break
-            a, b, reach, tail, s, s1, *args = (v[keep] for v in (a, b, reach, tail, s, s1, *args))
+            lim, half, mid, reach, tail, s, s1, *args = (v[keep] for v in (lim, half, mid, reach, tail, s, s1, *args))
         if live.size:  # not converged by the last level: the quad fallback
             from scipy.integrate import quad
 
             for j, i in enumerate(live):
-                row = [v[j : j + 1] for v in (a, b, *args)]
-                value, error, _, *short = quad(lambda x: inside(np.full((1, 1), x), *row)[0, 0], a[j, 0], b[j, 0],
+                (hi,), (lo,) = lim[j]
+                row = [v[j : j + 1] for v in (mid, *args)]
+                value, error, _, *short = quad(lambda x: inside(np.full((1, 1), x), not lo < x < hi, *row)[0, 0], lo, hi,
                                                epsabs=0.0, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)
                 if short:  # with full_output, quad returns its message where it falls short instead of warning
                     raise QuadratureError(f"quad fell short of rtol {REL_TOL:g}: estimate {value:.17g}, error estimate {error:.3g}")
@@ -222,8 +231,8 @@ def _power(d, g: float, weighted: bool):
         # pdf is 0 only where x rounds onto or past a support end: a finite
         # one, or inf where the isf of a heavy tail overflows for v near 0
         ok = fx > 0.0
-        p = np.where(ok, np.exp(g * (np.log(v) - _mapped(math.log, w.ravel()).reshape(w.shape))) / np.where(ok, fx, 1.0), 0.0)
-        return np.where(ok, x, 0.0) * p if weighted else p
+        p = np.exp(g * (np.log(v) - _mapped(math.log, w.ravel()).reshape(w.shape))) / np.where(ok, fx, 1.0)
+        return np.where(ok, x * p if weighted else p, 0.0)
 
     return integrand
 
@@ -251,6 +260,8 @@ def _window(d, side: str, ts: list, masses: list, fn) -> np.ndarray:
     def halves(p, upper, w):
         # integrate keeps the rows in order, so the upper parts come last
         lower = len(upper) - np.count_nonzero(upper)
+        if lower == len(upper):  # no window split
+            return fn(inverse(p), p, w)
         x = np.concatenate((inverse(p[:lower]), complement(p[lower:])))
         return fn(x, np.concatenate((p[:lower], 1.0 - p[lower:])), w)
 
@@ -258,5 +269,6 @@ def _window(d, side: str, ts: list, masses: list, fn) -> np.ndarray:
     b = [0.5 if s else w for s, w in zip(split, masses)] + [0.5] * len(c)
     args = ([False] * n + [True] * len(c), masses + [w for s, w in zip(split, masses) if s])
     value = integrate(halves, [0.0] * n + c, b, args=args)
-    value[:n][np.array(split, dtype=bool)] += value[n:]
+    if c:
+        value[:n][np.array(split, dtype=bool)] += value[n:]
     return value[:n]

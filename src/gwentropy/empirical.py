@@ -34,7 +34,7 @@ import numpy as np
 
 from ._random import SeededSampler
 from .distributions import Distribution
-from .entropy import EntropyOrder
+from .entropy import EntropyOrder, _positive_int
 from .errors import DegenerateSampleError, GwentropyError
 
 __all__ = [
@@ -127,9 +127,7 @@ class EstimatorVariant(enum.Enum):
 
 def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:
     """Draw a Sample of size n from d using the sampler's stream."""
-    if n < 1:
-        raise GwentropyError("sample size must be at least 1")
-    return Sample(d.sample_values(n, sampler.generator()))
+    return Sample(d.sample_values(_positive_int(n, "sample size"), sampler.generator()))
 
 
 # gaps per chunk of the estimator kernel, whose temporaries stay in cache at

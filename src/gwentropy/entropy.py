@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,7 @@ def gwse_first_order_stat(d, order: EntropyOrder, n: int, method: str = "auto") 
     The minimum's survival function is sf**n, so the integrand exponent is
     n * gamma.
     """
-    n = _checked_size(n)
+    n = _positive_int(n, "n")
     value = math.log(survival_integral(d, n * order.gamma, 0.0, method)) / order.delta
     return EntropyValue(value, EntropyKind.GWSE, order)
 
@@ -175,12 +176,18 @@ def gdwfe_max_order_stat(d, order: EntropyOrder, n: int, t: float, method: str =
 
     The maximum's cdf is cdf**n, so the integrand exponent is n * gamma.
     """
-    n = _checked_size(n)
+    n = _positive_int(n, "n")
     value = math.log(failure_integral(d, n * order.gamma, t, method)) / order.delta
     return EntropyValue(value, EntropyKind.GDWFE, order, t=t)
 
 
-def _checked_size(n: int) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise GwentropyError(f"n must be a positive integer, got {n!r}")
+def _positive_int(value, name: str) -> int:
+    """value as an int where it is an integer of any type but bool and at
+    least 1; GwentropyError naming it otherwise."""
+    try:
+        n = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise GwentropyError(f"{name} must be a positive integer, got {value!r}")
     return n

@@ -21,7 +21,7 @@ from .distributions import (
     ProportionalReverseHazards as PRH, Rayleigh, SeededSampler, Uniform as Uni,
 )
 from ._quad import failure_integral, survival_integral
-from .entropy import EntropyOrder
+from .entropy import EntropyOrder, _positive_int
 from .errors import GwentropyError
 
 __all__ = ["CellResult", "run_closed_form_suite"]
@@ -119,8 +119,7 @@ def run_closed_form_suite(
     log), where relative error is well defined for values of either sign
     of the final measure.
     """
-    if draws < 1:
-        raise GwentropyError("draws must be at least 1")
+    draws = _positive_int(draws, "draws")
     if not (tol > 0.0 and np.isfinite(tol)):
         raise GwentropyError(f"tol must be finite and positive, got {tol}")
     results = []

@@ -131,6 +131,14 @@ def test_sample_from_distribution_is_seeded():
     a = sample(Exponential(1.0), 50, SeededSampler(7, 0))
     b = sample(Exponential(1.0), 50, SeededSampler(7, 0))
     np.testing.assert_array_equal(a.values, b.values)
+    c = sample(Exponential(1.0), np.int64(50), SeededSampler(7, 0))
+    np.testing.assert_array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 1.5, True, np.int64(0)])
+def test_sample_size_must_be_a_positive_integer(bad):
+    with pytest.raises(GwentropyError, match="sample size must be a positive integer"):
+        sample(Exponential(1.0), bad, SeededSampler(7, 0))
 
 
 # ---------- the gap-sum kernel ----------

@@ -1,5 +1,7 @@
 """Weighted entropy measures: closed forms, quadrature, dynamic versions."""
 
+import functools
+import hashlib
 import math
 from unittest import mock
 
@@ -25,6 +27,7 @@ from gwentropy import (
     gwse_first_order_stat,
 )
 import gwentropy._quad as _quad
+from gwentropy.checks import _shannon_rhs
 from gwentropy._quad import REL_TOL, failure_integral, integrate, survival_integral
 from gwentropy.distributions import (
     Affine,
@@ -39,6 +42,7 @@ from gwentropy.distributions import (
     Weibull,
 )
 from gwentropy.errors import DivergenceError, GwentropyError, QuadratureError
+from gwentropy.verification import run_closed_form_suite
 
 ORD = EntropyOrder(0.26, 1.25)  # gamma = 0.51, delta = 0.99
 ORD2 = EntropyOrder(0.8, 1.1)  # gamma = 0.9,  delta = 0.3
@@ -391,24 +395,24 @@ def test_window_mass_is_the_scalar_sf_at_each_t():
     assert seen == {float(d.sf(t)) for t in ts.tolist()}
 
 
-@pytest.mark.parametrize(
-    "f,a,b,p,exact",
-    [
-        # scipy stops these at levels 3, 3, 6, 7, 8, 9 and 10 and leaves the
-        # last to quad
-        (
-            lambda x, k: 1.0 / (k + x * x), -1.0, np.linspace(0.5, 2.0, 8),
-            np.array([1.0, 0.5, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5]),
-            lambda k, b: (np.arctan(b / np.sqrt(k)) + np.arctan(1.0 / np.sqrt(k))) / np.sqrt(k),
-        ),
-        # the d4 term, |f w| at the outermost node, is large near p = -1:
-        # levels 3, 3, 3 and 6, then quad
-        (lambda x, p: x**p, 0.0, 1.0, np.array([-0.3, -0.9, -0.96, -0.97, -0.975, -0.98, -0.99]), lambda p, b: 1.0 / (p + 1.0)),
-        # levels 3 and 4, where the level-3 estimate decides
-        (lambda x, k: np.exp(-k * x), 0.0, 1.0, np.array([0.1, 1.0, 10.0, 100.0, 210.0, 1000.0]), lambda k, b: -np.expm1(-k) / k),
-    ],
-    ids=["lorentzian", "power", "exponential"],
-)
+# elementwise integrand sets f(x, p) on [a, b], with their exact integrals
+_LEVEL_CASES = {
+    # scipy stops these at levels 3, 3, 6, 7, 8, 9 and 10 and leaves the last
+    # to quad
+    "lorentzian": (
+        lambda x, k: 1.0 / (k + x * x), -1.0, np.linspace(0.5, 2.0, 8),
+        np.array([1.0, 0.5, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5]),
+        lambda k, b: (np.arctan(b / np.sqrt(k)) + np.arctan(1.0 / np.sqrt(k))) / np.sqrt(k),
+    ),
+    # the d4 term, |f w| at the outermost node, is large near p = -1: levels
+    # 3, 3, 3 and 6, then quad
+    "power": (lambda x, p: x**p, 0.0, 1.0, np.array([-0.3, -0.9, -0.96, -0.97, -0.975, -0.98, -0.99]), lambda p, b: 1.0 / (p + 1.0)),
+    # levels 3 and 4, where the level-3 estimate decides
+    "exponential": (lambda x, k: np.exp(-k * x), 0.0, 1.0, np.array([0.1, 1.0, 10.0, 100.0, 210.0, 1000.0]), lambda k, b: -np.expm1(-k) / k),
+}
+
+
+@pytest.mark.parametrize("f,a,b,p,exact", list(_LEVEL_CASES.values()), ids=list(_LEVEL_CASES))
 def test_integrate_matches_scipy_tanhsinh_level_by_level(f, a, b, p, exact):
     # one call each, so the later levels and the shrinking set of live
     # elements are compared too
@@ -416,6 +420,85 @@ def test_integrate_matches_scipy_tanhsinh_level_by_level(f, a, b, p, exact):
     # the error estimate lets x**-0.97 stop 5.3e-10 off, in scipy's rule too
     np.testing.assert_allclose(got, exact(p, b), rtol=1e-9, atol=0.0)
 
+
+@functools.cache
+def _solo(name: str, i: int) -> tuple[bytes, int]:
+    # element i of an integrand set integrated alone: its bits and quad fallbacks
+    f, a, b, p, _ = _LEVEL_CASES[name]
+    got, fallbacks = _with_fallbacks(lambda: integrate(f, a, np.broadcast_to(b, p.shape)[i], args=(p[i],)))
+    return got.tobytes(), fallbacks
+
+
+@given(name=st.sampled_from(list(_LEVEL_CASES)), data=st.data())
+def test_integrate_is_batch_invariant(name, data):
+    # each element of a batch stops at its own level whatever else is live:
+    # any subset of an integrand set, in any order, gives each element the
+    # bits of its solo call and leaves quad what the solo calls leave it
+    f, a, b, p, _ = _LEVEL_CASES[name]
+    rows = data.draw(st.lists(st.integers(0, p.size - 1), min_size=1, max_size=p.size, unique=True))
+    got, fallbacks = _with_fallbacks(lambda: integrate(f, a, np.broadcast_to(b, p.shape)[rows], args=(p[rows],)))
+    assert [v.tobytes() for v in got] == [_solo(name, i)[0] for i in rows]
+    assert fallbacks == sum(_solo(name, i)[1] for i in rows)
+
+
+
+_QUAD_PINNED = {
+    "exp": Exponential(1.3),
+    "pareto": Pareto(4.5, 0.8),
+    "uniform": Uniform(0.4, 2.1),
+    "power": Power(1.7, 2.2),
+    "rayleigh": Rayleigh(0.7),
+    "weibull": Weibull(0.6),
+    "gamma": Gamma(2.6),
+    "ph": ProportionalHazards(Weibull(1.8), 0.4),
+    "prh": ProportionalReverseHazards(Gamma(2.6), 2.5),
+    "affine": Affine(Pareto(4.5, 0.8), 1.5, 0.5),
+}
+# sha256 of the quadrature route's bits (first 16 hex digits): per family,
+# both integrals at both weights and two gammas, on windows split (mass past
+# 3/4) and not and at one t array, and the Shannon right-hand side of checks;
+# per integrand set of _LEVEL_CASES, one integrate call and its quad
+# fallbacks; the closed-form suite's errors
+_QUAD_DIGESTS = {
+    "exp": "eababeedbb93a577",
+    "pareto": "f0899900eb62e57b",
+    "uniform": "b8112d4791292e92",
+    "power": "39846afae6a3079b",
+    "rayleigh": "d9ebd44c0f61f188",
+    "weibull": "d298f86eb5abdac3",
+    "gamma": "8eee36ae0ee5bc5c",
+    "ph": "5b756fa96ee0c60b",
+    "prh": "d1dcbaa041fddace",
+    "affine": "5b81d15d1a8b1e55",
+    "integrate-lorentzian": "ca9c6d6c241371ce",
+    "integrate-power": "193dcae806bb283d",
+    "integrate-exponential": "e424965fd409f5ac",
+    "suite": "67099621bcca34df",
+}
+
+
+def _quad_bits(name: str) -> bytes:
+    if name == "suite":
+        return np.array([c.max_rel_err for c in run_closed_form_suite(draws=20, seed=20240)]).tobytes()
+    if name.startswith("integrate-"):
+        f, a, b, p, _ = _LEVEL_CASES[name.removeprefix("integrate-")]
+        got, fallbacks = _with_fallbacks(lambda: integrate(f, a, b, args=(p,)))
+        return got.tobytes() + str(fallbacks).encode()
+    d = _QUAD_PINNED[name]
+    ts = [float(d.quantile(q)) for q in (0.1, 0.9)]
+    out = []
+    for side, integral in (("survival", survival_integral), ("failure", failure_integral)):
+        for weighted in (True, False):
+            for g in (0.51, 1.7):
+                for t in (*ts, d.quantile(np.array([0.05, 0.3, 0.6, 0.95]))):
+                    out.append(np.asarray(integral(d, g, t, "quadrature", weighted), dtype=float).tobytes())
+        out.append(np.float64(_shannon_rhs(d, float(d.quantile(0.5)), side)).tobytes())
+    return b"|".join(out)
+
+
+@pytest.mark.parametrize("name", [*_QUAD_PINNED, *(f"integrate-{k}" for k in _LEVEL_CASES), "suite"])
+def test_quadrature_route_keeps_its_bits(name):
+    assert hashlib.sha256(_quad_bits(name)).hexdigest()[:16] == _QUAD_DIGESTS.get(name)
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
@@ -736,10 +819,18 @@ def test_max_order_stat_power_is_power():
     assert via_stat == pytest.approx(direct, rel=1e-10)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, np.True_, np.float64(3.0), "3", np.int64(0)])
 def test_order_stat_size_validation(bad):
-    with pytest.raises(GwentropyError):
+    with pytest.raises(GwentropyError, match="n must be a positive integer"):
         gwse_first_order_stat(Exponential(1.0), ORD, bad)
+    with pytest.raises(GwentropyError, match="n must be a positive integer"):
+        gdwfe_max_order_stat(Power(2.0, 1.0), ORD, bad, 0.5)
+
+
+def test_order_stat_size_takes_any_integer_type():
+    d = Exponential(1.0)
+    assert gwse_first_order_stat(d, ORD, np.int64(3)) == gwse_first_order_stat(d, ORD, 3)
+    assert gdwfe_max_order_stat(Power(2.0, 1.0), ORD, np.uint8(3), 0.5) == gdwfe_max_order_stat(Power(2.0, 1.0), ORD, 3, 0.5)
 
 
 # ---------- scale behaviour ----------

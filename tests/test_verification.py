@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gwentropy.cli import main
@@ -37,8 +38,10 @@ def test_suite_covers_every_measure_kind():
 
 
 def test_suite_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        run_closed_form_suite(draws=0)
+    for draws in (0, -1, 1.5, True, np.int64(0), "2"):
+        with pytest.raises(GwentropyError, match="draws must be a positive integer"):
+            run_closed_form_suite(draws=draws)
+    assert {type(c.draws) for c in run_closed_form_suite(draws=np.int64(1))} == {int}
     for tol in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(GwentropyError, match="tol must be finite and positive"):
             run_closed_form_suite(draws=1, tol=tol)
