@@ -30,7 +30,7 @@ import numpy as np
 
 from . import distributions as dist
 from ._quad import _mapped, failure_integral, survival_integral, window_integral
-from .entropy import EntropyOrder, _gdwse_value, gdwfe, gdwse, gwfe, gwse
+from .entropy import EntropyOrder, _gdwse_value, _positive_float, gdwfe, gdwse, gwfe, gwse
 from .errors import DivergenceError, GwentropyError
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 
 
 def _central_derivative(g: Callable[[float], float], t: float, step: float, richardson: bool) -> float:
+    _positive_float(step, "step")
     d1 = (g(t + step) - g(t - step)) / (2.0 * step)
     if not richardson:
         return d1
@@ -363,22 +364,20 @@ def bound_check(d, order: EntropyOrder, t: float | None = None) -> BoundReport:
     if t is None:
         return BoundReport(order, None, tuple(results))
 
-    # ---- dynamic bounds at t ----
-    if math.isnan(t):
-        raise GwentropyError("t must not be NaN")
-    # the tail check behind a divergence does not depend on t, so the static
-    # measure's outcome stands for the dynamic one
+    # ---- dynamic bounds at t (a NaN t raises in the measure's window) ----
     outside = "requires t inside the support"
     sides = [
         # side, moment bound, why its three bounds skip, measure, moment at t,
         # why the moment bound skips, why the interval bound skips
-        ("survival", "wmrl", "survival is zero at t" if float(d.sf(t)) <= 0.0 else sreason, gdwse,
+        ("survival", "wmrl", "survival is zero at t" if float(d.sf(t)) <= 0.0 else None, gdwse,
          lambda: d.wmrl(t), wmrl_reason, unbounded or (None if lo <= t < hi else outside)),
         ("failure", "wmit", "cdf is zero at t" if float(d.cdf(t)) <= 0.0 else None, gdwfe,
          lambda: d.wmit(min(t, hi)), None, None if lo < t <= hi else outside),
     ]
     for side, moment, skip, measure, moment_at_t, moment_skip, interval_skip in sides:
-        value = None if skip else measure(d, order, t).value
+        # a divergent measure skips its three bounds: gdwse where gwse
+        # diverges, gdwfe at an infinite t on an infinite support
+        value, skip = (None, skip) if skip else _unless_divergent(lambda: measure(d, order, t).value)
         results += [
             _bound(f"{moment}-upper-dynamic", skip or low_gamma or moment_skip, 1,
                    lambda: (value, math.log(moment_at_t()) / dl)),

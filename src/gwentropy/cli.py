@@ -12,13 +12,13 @@ case-insensitive family name and positional parameters:
     weibull(shape)
     gamma(shape)
 
-Exit status: 0 on success, 2 for usage errors (argparse, malformed
-distribution text, bad ranges, counts below 1, sample sizes of 2**24 or
-more and over 2**32 replications), 1 for domain errors, in which case a
-one-line JSON object {"error": code, "message": ...} goes to stderr.  The
-code is the error class's ``code`` attribute: divergence (a divergent
-measure), degenerate-sample, missing-table-entry (under --no-simulate)
-and domain for the rest (an invalid order, a malformed table file, an
+Exit status: 0 on success; 2 for a usage error, which is argparse's own or
+a flag value that the library's rule for that flag rejects, with that
+rule's message; 1 for a domain error, with a one-line JSON object
+{"error": code, "message": ...} on stderr.  The code is the error class's
+``code`` attribute: divergence (a divergent measure), degenerate-sample,
+missing-table-entry (under --no-simulate) and domain for the rest (an
+invalid order, which depends on two flags, a malformed table file, an
 integral outside the float range).  Results print as JSON by default;
 tabular commands also offer csv, scalar ones a readable table, and verify
 exits 1 when a cell fails.
@@ -35,16 +35,20 @@ import re
 import sys
 
 from . import __version__
-from ._random import B_LIMIT, N_LIMIT
+from ._quad import _METHODS
 from .distributions import from_spec
 from .empirical import EstimatorVariant, Sample, empirical_gwfe, empirical_gwse
-from .entropy import EntropyOrder, gdwfe, gdwse, gfe, gse, gwfe, gwse
+from .entropy import EntropyOrder, _positive_float, _positive_int, gdwfe, gdwse, gfe, gse, gwfe, gwse
 from .errors import GwentropyError
 from .gof import (
     DEFAULT_LEVELS,
     DEFAULT_ORDER,
     CriticalTable,
     TestConfig,
+    _level,
+    _levels,
+    _replications,
+    _sample_sizes,
     critical_values,
     power_study,
     run_test,
@@ -61,93 +65,45 @@ _ESTIMATORS = {"gwse": empirical_gwse, "gwfe": empirical_gwfe}
 # ---------- argument helpers ----------
 
 
-def _dist_arg(text: str):
-    try:
-        d = from_spec(text)
-    except GwentropyError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _checked(parse, rule, *args):
+    """An argparse type: rule(parse(text), *args), the library's rule for the
+    flag.  Its GwentropyError is a usage error with its message, any other
+    ValueError one that cannot parse the text."""
+
+    def arg(text: str):
+        try:
+            return rule(parse(text), *args)
+        except GwentropyError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
+
+    return arg
+
+
+def _named_dist(text: str):
+    d = from_spec(text)
     d.spec_text = text.strip()
     return d
 
 
-def _n_values_arg(text: str) -> list[int]:
-    """Parse '4:30,35:50:5,60' into a sorted list (ranges are inclusive)."""
+def _items(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
+def _n_values(text: str) -> set[int]:
+    """'4:30,35:50:5,60' as a set of sample sizes (ranges are inclusive).
+    The size rule reads only a set's smallest and largest size, so each
+    range's ends meet it before the range is built."""
     values: set[int] = set()
-    try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" in part:
-                bits = [int(b) for b in part.split(":")]
-                if len(bits) == 2:
-                    start, stop, step = bits[0], bits[1], 1
-                elif len(bits) == 3:
-                    start, stop, step = bits
-                else:
-                    raise ValueError(part)
-                if step < 1 or stop < start:
-                    raise ValueError(part)
-            else:
-                start = stop = int(part)
-                step = 1
-            if stop >= N_LIMIT:  # before the range is built
-                raise argparse.ArgumentTypeError(f"sample sizes must be below {N_LIMIT}, the stream layout's limit")
-            values.update(range(start, stop + 1, step))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse sample sizes {text!r}; use e.g. '4:30,35:50:5,60'"
-        ) from exc
-    if not values:
-        raise argparse.ArgumentTypeError("no sample sizes given")
-    return sorted(values)
-
-
-def _level_arg(text: str) -> float:
-    try:
-        level = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse level {text!r}") from exc
-    if not 0.0 < level < 1.0:  # nan fails too
-        raise argparse.ArgumentTypeError("levels must lie strictly inside (0, 1)")
-    return level
-
-
-def _levels_arg(text: str) -> tuple[float, ...]:
-    levels = tuple(_level_arg(p) for p in text.split(",") if p.strip())
-    if not levels:
-        raise argparse.ArgumentTypeError("no levels given")
-    return levels
-
-
-def _variant_arg(text: str) -> EstimatorVariant:
-    try:
-        return EstimatorVariant(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"unknown variant {text!r}; choose gaps-only or full-step"
-        ) from exc
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse turns a ValueError into a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _replications_arg(text: str) -> int:
-    value = _positive_int(text)
-    if value > B_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be at most {B_LIMIT}, the stream layout's limit, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)  # argparse turns a ValueError into a usage error
-    if not 0.0 < value < float("inf"):  # nan fails too
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
+    for part in _items(text):
+        bits = part.split(":")
+        start, stop, step = (int(bits[0]), int(bits[-1]), 1) if len(bits) < 3 else map(int, bits)
+        if step < 1 or stop < start:
+            raise ValueError(part)
+        _sample_sizes((start, stop))
+        values.update(range(start, stop + 1, step))
+    return values
 
 
 def _read_values(path: str, column: str | None) -> list[float]:
@@ -329,13 +285,13 @@ def _add_order_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--replications", "-B", type=_replications_arg, default=TestConfig.replications, help="Monte-Carlo replications")
+    p.add_argument("--replications", "-B", type=_checked(int, _replications), default=TestConfig.replications, help="Monte-Carlo replications")
     # argparse parses a string default through type, so a malformed GWENTROPY_SEED is a usage error
     p.add_argument(
         "--seed", type=int, default=os.environ.get("GWENTROPY_SEED") or "0",
         help="simulation seed (default: GWENTROPY_SEED or 0)",
     )
-    p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
+    p.add_argument("--variant", type=_checked(str, EstimatorVariant), default=EstimatorVariant.GAPS_ONLY, help="estimator variant: gaps-only or full-step")
 
 
 def _add_data_args(p: argparse.ArgumentParser, column_help: str) -> None:
@@ -362,30 +318,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("entropy", help="static measure of a named distribution")
-    p.add_argument("--dist", type=_dist_arg, required=True, help="distribution, e.g. 'exp(1)'")
+    p.add_argument("--dist", type=_checked(str, _named_dist), required=True, help="distribution, e.g. 'exp(1)'")
     p.add_argument("--measure", choices=sorted(_MEASURES), default="gwse")
-    p.add_argument("--method", choices=["auto", "closed", "quadrature"], default="auto")
+    p.add_argument("--method", choices=_METHODS, default="auto")
     _add_order_args(p)
     _add_format(p, _cmd_entropy, "json", "table")
 
     p = sub.add_parser("dynamic", help="dynamic measure at a time point")
-    p.add_argument("--dist", type=_dist_arg, required=True)
+    p.add_argument("--dist", type=_checked(str, _named_dist), required=True)
     p.add_argument("--measure", choices=sorted(_DYNAMIC), default="gdwse")
     p.add_argument("--t", type=float, required=True, help="time point")
-    p.add_argument("--method", choices=["auto", "closed", "quadrature"], default="auto")
+    p.add_argument("--method", choices=_METHODS, default="auto")
     _add_order_args(p)
     _add_format(p, _cmd_dynamic, "json", "table")
 
     p = sub.add_parser("empirical", help="order-statistic estimate from data")
     _add_data_args(p, "CSV column name (default: whitespace/comma separated values)")
     p.add_argument("--measure", choices=list(_ESTIMATORS), default="gwse")
-    p.add_argument("--variant", type=_variant_arg, default=EstimatorVariant.GAPS_ONLY)
+    p.add_argument("--variant", type=_checked(str, EstimatorVariant), default=EstimatorVariant.GAPS_ONLY)
     _add_order_args(p)
     _add_format(p, _cmd_empirical, "json", "table")
 
     p = sub.add_parser("gof-test", help="test a sample for exponentiality")
     _add_data_args(p, "CSV column name")
-    p.add_argument("--level", type=_level_arg, default=TestConfig.level, help="significance level")
+    p.add_argument("--level", type=_checked(float, _level), default=TestConfig.level, help="significance level")
     p.add_argument("--table", help="critical-table JSON produced by critical-table")
     p.add_argument("--no-simulate", action="store_true", help="fail instead of simulating a missing critical value")
     _add_order_args(p)
@@ -393,17 +349,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p, _cmd_gof_test, "json", "table")
 
     p = sub.add_parser("critical-table", help="simulate a critical-value table")
-    p.add_argument("--n", type=_n_values_arg, required=True, help="sample sizes, e.g. '4:30,35:50:5'")
-    p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS, help="comma-separated levels (default 0.01,0.05,0.10)")
+    p.add_argument("--n", type=_checked(_n_values, _sample_sizes), required=True, help="sample sizes, e.g. '4:30,35:50:5'")
+    p.add_argument("--levels", type=_checked(_items, _levels), default=DEFAULT_LEVELS, help="comma-separated levels (default 0.01,0.05,0.10)")
     _add_order_args(p)
     _add_sim_args(p)
     _add_format(p, _cmd_critical_table, "json", "csv")
     _add_out(p)
 
     p = sub.add_parser("power", help="rejection rate against an alternative")
-    p.add_argument("--alt", type=_dist_arg, required=True, help="alternative distribution, e.g. 'weibull(2)'")
-    p.add_argument("--n", type=_n_values_arg, required=True)
-    p.add_argument("--levels", type=_levels_arg, default=DEFAULT_LEVELS)
+    p.add_argument("--alt", type=_checked(str, _named_dist), required=True, help="alternative distribution, e.g. 'weibull(2)'")
+    p.add_argument("--n", type=_checked(_n_values, _sample_sizes), required=True)
+    p.add_argument("--levels", type=_checked(_items, _levels), default=DEFAULT_LEVELS)
     p.add_argument("--table", help="use critical values from this JSON table")
     _add_order_args(p)
     _add_sim_args(p)
@@ -411,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("verify", help="closed form vs quadrature self-check")
-    p.add_argument("--draws", type=_positive_int, default=20, help="random draws per cell")
+    p.add_argument("--draws", type=_checked(int, _positive_int, "draws"), default=20, help="random draws per cell")
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance per draw")
+    p.add_argument("--tol", type=_checked(float, _positive_float, "tol"), default=1e-8, help="relative tolerance per draw")
     _add_format(p, _cmd_verify, "table", "json")
 
     return parser

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._random import SeededSampler
 from .distributions import Distribution
-from .entropy import EntropyOrder, _positive_int
+from .entropy import EntropyOrder, _positive_float, _positive_int
 from .errors import DegenerateSampleError, GwentropyError
 
 __all__ = [
@@ -96,8 +96,7 @@ class Sample:
         return self.values.size
 
     def scaled(self, factor: float) -> "Sample":
-        if not 0.0 < factor < math.inf:
-            raise GwentropyError("scale factor must be positive and finite")
+        _positive_float(factor, "scale factor")
         # a positive factor keeps the order, so the product is not sorted again;
         # overflow to inf fails the finite check
         out = Sample.__new__(Sample)
@@ -123,6 +122,10 @@ class EstimatorVariant(enum.Enum):
 
     GAPS_ONLY = "gaps-only"
     FULL_STEP = "full-step"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise GwentropyError(f"unknown variant {value!r}; choose gaps-only or full-step")
 
 
 def sample(d: Distribution, n: int, sampler: SeededSampler) -> Sample:

@@ -191,3 +191,10 @@ def _positive_int(value, name: str) -> int:
     if n < 1:
         raise GwentropyError(f"{name} must be a positive integer, got {value!r}")
     return n
+
+
+def _positive_float(value, name: str) -> float:
+    """value as a float where it is finite and positive; GwentropyError naming it otherwise."""
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise GwentropyError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ import numpy as np
 from . import _random
 from .distributions import Distribution, Exponential
 from .empirical import _BLOCK_VALUES, EstimatorVariant, Sample, _finite, _gap_sums, _head, _log_gap_sum
-from .entropy import EntropyOrder
+from .entropy import EntropyOrder, _positive_int
 from .errors import GwentropyError, MissingTableEntryError
 
 __all__ = [
@@ -89,10 +90,8 @@ class TestConfig:
     variant: EstimatorVariant = EstimatorVariant.GAPS_ONLY
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise GwentropyError("level must lie strictly inside (0, 1)")
-        if not 1 <= self.replications <= _random.B_LIMIT:
-            raise GwentropyError(f"replications must lie in 1..{_random.B_LIMIT}, the stream layout's range")
+        _level(self.level)
+        _replications(self.replications)
 
 
 @dataclass(frozen=True)
@@ -263,11 +262,33 @@ def _counts_below(d: Distribution, tag: int, cfg: TestConfig, n: int, cvs) -> li
     return [beyond + sum(t < cv for t in _t_rows(totals, means, cfg.order, near)) for cv, (beyond, near) in zip(cvs, bands)]
 
 
+def _level(level: float) -> float:
+    """level where it lies strictly inside (0, 1), as a significance level must."""
+    if not 0.0 < level < 1.0:  # NaN fails too
+        raise GwentropyError(f"a level must lie strictly inside (0, 1), got {level!r}")
+    return level
+
+
+def _levels(levels) -> tuple[float, ...]:
+    """levels as a non-empty tuple of floats, each a level."""
+    if not (levels := tuple(_level(float(v)) for v in levels)):
+        raise GwentropyError("no levels given")
+    return levels
+
+
+def _replications(b: int) -> int:
+    """b as an int where it is a positive integer the stream layout holds (at most _random.B_LIMIT)."""
+    b = _positive_int(b, "replications")
+    if b > _random.B_LIMIT:
+        raise GwentropyError(f"replications must be at most {_random.B_LIMIT}, the stream layout's limit, got {b}")
+    return b
+
+
 def _sample_sizes(n_values) -> list[int]:
     """Sorted distinct sample sizes, each at least 2 and below the stream layout's limit."""
     ns = sorted(set(int(n) for n in n_values))
     if not ns:
-        raise GwentropyError("n_values must be non-empty")
+        raise GwentropyError("no sample sizes given")
     if ns[0] < 2:
         raise GwentropyError("sample sizes must be at least 2")
     if ns[-1] >= _random.N_LIMIT:
@@ -299,12 +320,10 @@ class CriticalTable:
     variant: EstimatorVariant
 
     def __post_init__(self):
-        if any(not 0.0 < lv < 1.0 for lv in self.levels):
-            raise GwentropyError("critical-table levels must lie strictly inside (0, 1)")
-        if self.replications < 1:
-            raise GwentropyError("critical-table replications must be positive")
+        _levels(self.levels)
+        _positive_int(self.replications, "critical-table replications")
         for n, values in self.rows.items():
-            if n < 2:
+            if _positive_int(n, "critical-table row n") < 2:
                 raise GwentropyError(f"critical-table row n={n}: sample sizes must be at least 2")
             if len(values) != len(self.levels):
                 raise GwentropyError(f"critical-table row n={n}: row length differs from levels")
@@ -379,9 +398,9 @@ class CriticalTable:
             fields = dict(
                 order=EntropyOrder(doc["order"]["alpha"], doc["order"]["beta"]),
                 levels=tuple(float(v) for v in doc["levels"]),
-                rows={int(row["n"]): tuple(float(v) for v in row["values"]) for row in doc["rows"]},
-                replications=int(doc["replications"]),
-                seed=int(doc["seed"]),
+                rows={row["n"]: tuple(float(v) for v in row["values"]) for row in doc["rows"]},
+                replications=doc["replications"],  # integers as integers: __post_init__ checks them
+                seed=operator.index(doc["seed"]),
                 variant=EstimatorVariant(doc["variant"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -410,9 +429,7 @@ def critical_values(
     levels); workers is accepted and ignored.
     """
     cfg = cfg or TestConfig()
-    levels = tuple(float(v) for v in levels)
-    if not levels or any(not 0.0 < v < 1.0 for v in levels):
-        raise GwentropyError("levels must lie strictly inside (0, 1)")
+    levels = _levels(levels)
     rows: dict[int, tuple[float, ...]] = {}
     ranks = [_rank(lv, cfg.replications) for lv in levels]
     for n in _sample_sizes(n_values):
@@ -479,7 +496,7 @@ def power_study(
     table is supplied one is simulated under cfg first.
     """
     cfg = cfg or TestConfig()
-    levels = tuple(float(v) for v in levels)
+    levels = _levels(levels)
     ns = _sample_sizes(n_values)
     if table is None:
         table = critical_values(ns, levels, cfg)

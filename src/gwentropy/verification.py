@@ -21,8 +21,7 @@ from .distributions import (
     ProportionalReverseHazards as PRH, Rayleigh, SeededSampler, Uniform as Uni,
 )
 from ._quad import failure_integral, survival_integral
-from .entropy import EntropyOrder, _positive_int
-from .errors import GwentropyError
+from .entropy import EntropyOrder, _positive_float, _positive_int
 
 __all__ = ["CellResult", "run_closed_form_suite"]
 
@@ -119,9 +118,7 @@ def run_closed_form_suite(
     log), where relative error is well defined for values of either sign
     of the final measure.
     """
-    draws = _positive_int(draws, "draws")
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise GwentropyError(f"tol must be finite and positive, got {tol}")
+    draws, tol = _positive_int(draws, "draws"), _positive_float(tol, "tol")
     results = []
     for name, (draw, case) in _CELLS.items():
         rng = SeededSampler(seed, zlib.crc32(name.encode("ascii"))).generator()

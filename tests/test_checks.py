@@ -34,7 +34,7 @@ from gwentropy.distributions import (
     Uniform,
     Weibull,
 )
-from gwentropy.errors import DivergenceError, GwentropyError
+from gwentropy.errors import GwentropyError
 
 ORD = EntropyOrder(0.26, 1.25)
 ORD2 = EntropyOrder(0.8, 1.1)
@@ -85,6 +85,14 @@ def test_hazard_recovery_richardson_improves():
     )
     ref = d.hazard(t)
     assert abs(refined - ref) <= abs(plain - ref)
+
+
+@pytest.mark.parametrize("recover", [hazard_from_gdwse, reverse_hazard_from_gdwfe])
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+def test_derivative_step_must_be_finite_and_positive(recover, step):
+    # a zero step ended in ZeroDivisionError, the others in a number
+    with pytest.raises(GwentropyError, match="step must be finite and positive"):
+        recover(lambda s: 1.0, ORD, 0.5, step=step)
 
 
 def test_gdwse_derivative_matches_finite_difference():
@@ -405,7 +413,10 @@ _BOUND_NAMES = (
     "wmit-upper-dynamic", "shannon-lower-failure-dynamic", "interval-logsum-upper-failure",
 )
 _NEGATIVE_T = GwentropyError("t must be nonnegative")
-_INFINITE_T = DivergenceError("failure-side measure diverges on an infinite support")
+# at t = inf on an infinite support sf(t) is zero and gdwfe diverges: the
+# survival side's three dynamic bounds skip for the first, the failure
+# side's with gdwfe's divergence message
+_INFINITE_T = (_S,) * 3 + ("failure-side measure diverges on an infinite support",) * 3
 _H = "integral of x * sf**1 diverges for Pareto tail index 1.5 (needs shape * 1 > 2)"
 # per case, the skip reason of each bound in _BOUND_NAMES order (None where
 # it is evaluated), or the error bound_check raises; t runs over None, below
@@ -414,11 +425,11 @@ _BOUND_TABLE = [
     (Exponential(1.3), ORD, None, (_G, _F, None, _F)),
     (Exponential(1.3), ORD, -1.0, _NEGATIVE_T),
     (Exponential(1.3), ORD, 0.8, (_G, _F, None, _F, _G, None, _F, _G, None, None)),
-    (Exponential(1.3), ORD, math.inf, _INFINITE_T),
+    (Exponential(1.3), ORD, math.inf, (_G, _F, None, _F, *_INFINITE_T)),
     (Exponential(1.3), ORD_BIG, None, (None, _F, None, _F)),
     (Exponential(1.3), ORD_BIG, -1.0, _NEGATIVE_T),
     (Exponential(1.3), ORD_BIG, 0.8, (None, _F, None, _F, None, None, _F, None, None, None)),
-    (Exponential(1.3), ORD_BIG, math.inf, _INFINITE_T),
+    (Exponential(1.3), ORD_BIG, math.inf, (None, _F, None, _F, *_INFINITE_T)),
     (Uniform(0.2, 1.6), ORD, None, (_G, _G, None, None)),
     (Uniform(0.2, 1.6), ORD, 0.1, (_G, _G, None, None, _G, None, _I, _C, _C, _C)),
     (Uniform(0.2, 1.6), ORD, 0.9, (_G, _G, None, None, _G, None, None, _G, None, None)),
@@ -432,20 +443,20 @@ _BOUND_TABLE = [
     (Pareto(1.5, 1.0), ORD, None, (_G, _F, _D, _F)),
     (Pareto(1.5, 1.0), ORD, 0.5, (_G, _F, _D, _F, _D, _D, _D, _C, _C, _C)),
     (Pareto(1.5, 1.0), ORD, 2.0, (_G, _F, _D, _F, _D, _D, _D, _G, None, None)),
-    (Pareto(1.5, 1.0), ORD, math.inf, _INFINITE_T),
+    (Pareto(1.5, 1.0), ORD, math.inf, (_G, _F, _D, _F, *_INFINITE_T)),
     # gwse converges at gamma = 1.9, but wmrl (gamma = 1) diverges: its two bounds skip
     (Pareto(1.5, 1.0), ORD_BIG, None, (_H, _F, None, _F)),
     (Pareto(1.5, 1.0), ORD_BIG, 0.5, (_H, _F, None, _F, _H, None, _F, _C, _C, _C)),
     (Pareto(1.5, 1.0), ORD_BIG, 2.0, (_H, _F, None, _F, _H, None, _F, None, None, None)),
-    (Pareto(1.5, 1.0), ORD_BIG, math.inf, _INFINITE_T),
+    (Pareto(1.5, 1.0), ORD_BIG, math.inf, (_H, _F, None, _F, *_INFINITE_T)),
     (Weibull(1.5), ORD, None, (_G, _F, None, _F)),
     (Weibull(1.5), ORD, -1.0, _NEGATIVE_T),
     (Weibull(1.5), ORD, 0.8, (_G, _F, None, _F, _G, None, _F, _G, None, None)),
-    (Weibull(1.5), ORD, math.inf, _INFINITE_T),
+    (Weibull(1.5), ORD, math.inf, (_G, _F, None, _F, *_INFINITE_T)),
     (Weibull(1.5), ORD_BIG, None, (None, _F, None, _F)),
     (Weibull(1.5), ORD_BIG, -1.0, _NEGATIVE_T),
     (Weibull(1.5), ORD_BIG, 0.8, (None, _F, None, _F, None, None, _F, None, None, None)),
-    (Weibull(1.5), ORD_BIG, math.inf, _INFINITE_T),
+    (Weibull(1.5), ORD_BIG, math.inf, (None, _F, None, _F, *_INFINITE_T)),
 ]
 
 

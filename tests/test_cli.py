@@ -15,9 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwentropy
-from gwentropy import EntropyOrder, CriticalTable, TestConfig, critical_values, gwse, gdwse
+from gwentropy import (
+    EntropyOrder, CriticalTable, GwentropyError, TestConfig, critical_values, gwse, gdwse, power_study,
+    run_closed_form_suite,
+)
+from gwentropy._quad import _METHODS
 from gwentropy.cli import main
-from gwentropy.distributions import Distribution, Exponential, SeededSampler, from_spec
+from gwentropy.distributions import Distribution, Exponential, SeededSampler, Weibull, from_spec
 
 
 def run_cli(capsys, *argv):
@@ -354,7 +358,7 @@ def test_usage_error_nonpositive_count(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -396,6 +400,48 @@ def test_usage_error_past_the_stream_layout(argv, capsys, monkeypatch):
         main(argv)
     assert exc.value.code == 2
     assert "stream layout" in capsys.readouterr().err
+
+
+# a flag value and the library call that applies the flag's rule to it
+_RULE_CALLS = {
+    "gof-test --data x.txt --level 1.5": lambda: TestConfig(level=1.5),
+    "gof-test --data x.txt --level nan": lambda: TestConfig(level=math.nan),
+    "critical-table --n 5 --levels 0.05,0": lambda: critical_values([5], (0.05, 0.0)),
+    "power --alt weibull(2) --n 5 --levels ,": lambda: power_study(Weibull(2.0), [5], ()),
+    "critical-table --n 5 -B 0": lambda: TestConfig(replications=0),
+    "gof-test --data x.txt -B -3": lambda: TestConfig(replications=-3),
+    "power --alt weibull(2) --n 5 -B 4294967297": lambda: TestConfig(replications=2**32 + 1),
+    "critical-table --n 1": lambda: critical_values([1]),
+    "critical-table --n 0:3": lambda: critical_values(range(4)),
+    "power --alt weibull(2) --n 4:16777216": lambda: power_study(Weibull(2.0), [4, 2**24]),
+    "critical-table --n ,": lambda: critical_values([]),
+    "verify --draws 0": lambda: run_closed_form_suite(draws=0),
+    "verify --tol nan": lambda: run_closed_form_suite(tol=math.nan),
+    "verify --tol -1": lambda: run_closed_form_suite(tol=-1.0),
+}
+
+
+@pytest.mark.parametrize("argv", _RULE_CALLS)
+def test_usage_message_is_the_library_rule(argv, capsys, monkeypatch):
+    # each flag's usage error repeats the message of the library's rule for
+    # the same value; --n 1 and --n 0:3 were domain errors (exit 1)
+    monkeypatch.setattr(Distribution, "_sample_streams", _no_draw)
+    with pytest.raises(GwentropyError) as rule:
+        _RULE_CALLS[argv]()
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert str(rule.value) in capsys.readouterr().err
+
+
+def test_method_choices_are_the_library_methods(capsys):
+    for method in _METHODS:
+        assert run_cli(capsys, "entropy", "--dist", "exp(1)", "--method", method)[0] == 0
+    with pytest.raises(GwentropyError, match="unknown method"):
+        gwse(Exponential(1.0), EntropyOrder(0.26, 1.25), method="exact")
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--dist", "exp(1)", "--method", "exact"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "tiny"])

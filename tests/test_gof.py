@@ -171,6 +171,23 @@ def test_table_json_round_trip(tmp_path):
     assert CriticalTable.from_json(p.read_text()) == t
 
 
+_TABLE_DOC = {
+    "schema": 1, "kind": "critical-table", "order": {"alpha": 0.26, "beta": 1.25}, "levels": [0.05],
+    "replications": 20, "seed": 1, "variant": "gaps-only", "rows": [{"n": 5, "values": [0.3]}],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"rows": [{"n": 5.7, "values": [0.3]}]}, {"replications": 20.9}, {"seed": 1.5}, {"replications": True}],
+    ids=["n-5.7", "replications-20.9", "seed-1.5", "replications-true"],
+)
+def test_table_file_integers_are_not_truncated(change):
+    # each loaded as row 5, 20 replications, seed 1 and 1 replication
+    with pytest.raises(GwentropyError):
+        CriticalTable.from_json(json.dumps({**_TABLE_DOC, **change}))
+
+
 def test_table_csv_has_row_per_cell():
     t = small_table()
     lines = t.to_csv().strip().splitlines()
@@ -650,6 +667,19 @@ def test_power_study_shapes_and_range():
         assert 0.0 <= r.power <= 1.0
         assert r.replications == 400
         assert r.rejections == round(r.power * 400)
+
+
+@pytest.mark.parametrize("levels", [(), (1.5,), (math.nan,)], ids=["empty", "1.5", "nan"])
+def test_power_study_with_a_table_checks_its_levels(levels, monkeypatch):
+    # with a table, () gave [] and the others MissingTableEntryError
+    cfg = TestConfig(replications=10)
+    table = CriticalTable.from_json(json.dumps({**_TABLE_DOC, "replications": 10}))
+    monkeypatch.setattr(Distribution, "_sample_streams", _no_draw)
+    with pytest.raises(GwentropyError) as rule:
+        power_study(Weibull(2.0), [5], levels, cfg)
+    with pytest.raises(GwentropyError) as exc:
+        power_study(Weibull(2.0), [5], levels, cfg, table=table)
+    assert type(exc.value) is GwentropyError and str(exc.value) == str(rule.value)
 
 
 def test_power_study_rejects_small_sample_size():
